@@ -120,8 +120,7 @@ runBenchmarkConfigs(const std::string &benchmark, bool edges,
     // block instead of per event, scores bit-identical to the
     // per-event run (the onEvents == onEvent contract).
     const RunOutput out =
-        runIntervalsBatched(*source, raw, interval_length, threshold,
-                            intervals);
+        runIntervals(*source, raw, interval_length, threshold, intervals);
 
     std::vector<SweepRow> rows;
     rows.reserve(configs.size());
@@ -158,12 +157,15 @@ runSuiteConfigs(const std::vector<std::string> &benchmarks, bool edges,
     plan.intervals = intervals;
 
     const SweepRunner runner(std::move(plan));
-    const std::vector<SweepCellResult> cells = runner.run();
+    const StatusOr<SweepReport> report = runner.runResilient();
+    MHP_REQUIRE(report.isOk() && report->quarantined.empty() &&
+                    report->completedCells == runner.cellCount(),
+                "suite sweep did not complete every cell");
 
     std::vector<std::vector<SweepRow>> out(benchmarks.size());
     for (auto &rows : out)
         rows.reserve(configs.size());
-    for (const auto &cell : cells) {
+    for (const auto &cell : report->results) {
         SweepRow row;
         row.benchmark = cell.benchmark;
         row.label = cell.configLabel;

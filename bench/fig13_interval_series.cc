@@ -42,7 +42,7 @@ runPanel(const mhp::ProfilerConfig &cfg, uint64_t intervals,
         auto workload = makeValueWorkload(names[i]);
         auto profiler = makeProfiler(cfg);
         const RunOutput out =
-            runIntervals(*workload, *profiler, cfg.intervalLength,
+            runIntervals(*workload, {profiler.get()}, cfg.intervalLength,
                          cfg.thresholdCount(), intervals);
         std::vector<double> errs;
         for (const auto &score : out.results[0].intervals)

@@ -430,109 +430,6 @@ registerIsaTierBenches()
     }
 }
 
-/**
- * STREAM-style peak-bandwidth probes, sized far beyond the last-level
- * cache so they measure DRAM, not cache. items_per_second in the JSON
- * is bytes/second; tools/bench_check.py divides the mh4 batched-ingest
- * event bandwidth (16 bytes/event of streamed tuples) by the read
- * roofline to report how close ingest runs to the memory wall
- * (docs/PERF.md). Four probes because "peak" depends on the access
- * pattern: pure streaming reads (the ingest stream's own pattern),
- * copy and triad (the classic STREAM kernels, read+write mixes), and
- * dependent-free random gathers (the counter banks' pattern when they
- * spill past the caches).
- */
-constexpr size_t kRooflineWords = size_t{8} << 20; // 64 MiB per array
-
-const std::vector<uint64_t> &
-rooflineSrc()
-{
-    static const std::vector<uint64_t> buf = [] {
-        std::vector<uint64_t> b(kRooflineWords);
-        for (size_t i = 0; i < b.size(); ++i)
-            b[i] = i * 0x9e3779b97f4a7c15ULL;
-        return b;
-    }();
-    return buf;
-}
-
-void
-BM_RooflineRead(benchmark::State &state)
-{
-    const std::vector<uint64_t> &src = rooflineSrc();
-    uint64_t acc = 0;
-    for (auto _ : state) {
-        for (size_t i = 0; i < src.size(); ++i)
-            acc += src[i];
-        benchmark::DoNotOptimize(acc);
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(src.size() * 8));
-}
-BENCHMARK(BM_RooflineRead);
-
-void
-BM_RooflineCopy(benchmark::State &state)
-{
-    const std::vector<uint64_t> &src = rooflineSrc();
-    std::vector<uint64_t> dst(src.size());
-    for (auto _ : state) {
-        std::copy(src.begin(), src.end(), dst.begin());
-        benchmark::DoNotOptimize(dst.data());
-        benchmark::ClobberMemory();
-    }
-    // Read + write traffic.
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(src.size() * 16));
-}
-BENCHMARK(BM_RooflineCopy);
-
-void
-BM_RooflineTriad(benchmark::State &state)
-{
-    const std::vector<uint64_t> &b = rooflineSrc();
-    std::vector<uint64_t> a(b.size());
-    std::vector<uint64_t> c(b.size(), 3);
-    for (auto _ : state) {
-        for (size_t i = 0; i < b.size(); ++i)
-            a[i] = b[i] + 3 * c[i];
-        benchmark::DoNotOptimize(a.data());
-        benchmark::ClobberMemory();
-    }
-    // Two streams read, one written.
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(b.size() * 24));
-}
-BENCHMARK(BM_RooflineTriad);
-
-void
-BM_RooflineGather(benchmark::State &state)
-{
-    const std::vector<uint64_t> &src = rooflineSrc();
-    // Independent pseudo-random positions (no pointer chase): peak
-    // *parallel* random-access bandwidth, the counter banks' pattern.
-    static const std::vector<uint32_t> pos = [] {
-        std::vector<uint32_t> p(1 << 20);
-        uint64_t s = 0x2545f4914f6cdd1dULL;
-        for (auto &v : p) {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            v = static_cast<uint32_t>(s & (kRooflineWords - 1));
-        }
-        return p;
-    }();
-    uint64_t acc = 0;
-    for (auto _ : state) {
-        for (size_t i = 0; i < pos.size(); ++i)
-            acc += src[pos[i]];
-        benchmark::DoNotOptimize(acc);
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(pos.size() * 8));
-}
-BENCHMARK(BM_RooflineGather);
-
 } // namespace
 
 int

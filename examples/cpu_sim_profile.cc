@@ -59,7 +59,7 @@ main(int argc, char **argv)
 
     // Score against the perfect profiler as the paper does.
     const RunOutput out =
-        runIntervals(*probe, *profiler, config.intervalLength,
+        runIntervals(*probe, {profiler.get()}, config.intervalLength,
                      config.thresholdCount(), intervals);
 
     for (size_t iv = 0; iv < out.results[0].intervals.size(); ++iv) {

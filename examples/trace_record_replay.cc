@@ -60,7 +60,7 @@ main(int argc, char **argv)
         }
         auto profiler = makeProfiler(cfg);
         const RunOutput out =
-            runIntervals(**reader, *profiler, interval_length,
+            runIntervals(**reader, {profiler.get()}, interval_length,
                          cfg.thresholdCount(), intervals);
         std::printf("  %-10s error %.2f%% (FP %.2f%%, FN %.2f%%), "
                     "%.1f candidates/interval\n",

@@ -2,224 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <future>
-#include <memory>
 
 #include "core/perfect_profiler.h"
 #include "support/panic.h"
 #include "support/parallel.h"
 
 namespace mhp {
-
-namespace {
-
-/**
- * One interval's drain, in flight on the scoring worker: the exact
- * counts moved out of the perfect profiler, the profilers' snapshots,
- * and the scores the worker fills in. The struct is heap-pinned and
- * owned by the launching runner, the worker only ever touches this
- * interval's state, and the runner joins before reading — so the
- * overlap cannot change a single bit of the output, only when it is
- * computed.
- */
-struct PendingDrain
-{
-    std::unordered_map<Tuple, uint64_t, TupleHash> truth;
-    std::vector<IntervalSnapshot> snaps;
-    std::vector<IntervalScore> scores;
-};
-
-/**
- * Resumable per-stream form of the chunk-pull interval loop: one
- * step() pulls at most one chunk (clipped to the interval boundary)
- * and advances the interval state machine exactly as the serial loop
- * in the old runIntervalsStream() did. runIntervalsStream() is now
- * "construct one engine, step it to completion", and the interleaved
- * runner round-robins step() across many engines — so a lane's output
- * is bit-identical to a dedicated run by construction: it is the same
- * code path, merely scheduled differently.
- */
-class LaneEngine
-{
-  public:
-    LaneEngine(StreamCursor &stream,
-               const std::vector<HardwareProfiler *> &profilers,
-               uint64_t intervalLength, uint64_t thresholdCount,
-               uint64_t numIntervals, const StreamRunOptions &options)
-        : stream(stream), profilers(profilers),
-          intervalLength(intervalLength),
-          thresholdCount(thresholdCount), numIntervals(numIntervals),
-          options(options),
-          perfect(options.score ? thresholdCount : 1),
-          start(Clock::now())
-    {
-        MHP_REQUIRE(!profilers.empty(), "no profilers to run");
-        MHP_REQUIRE(intervalLength > 0,
-                    "intervalLength must be positive");
-        MHP_REQUIRE(options.batchSize > 0,
-                    "batchSize must be positive");
-        out.results.resize(profilers.size());
-        if (options.keepSnapshots)
-            snapshots.resize(profilers.size());
-        for (size_t i = 0; i < profilers.size(); ++i) {
-            MHP_REQUIRE(profilers[i] != nullptr, "null profiler");
-            out.results[i].profilerName = profilers[i]->name();
-        }
-        if (numIntervals == 0)
-            finishUp();
-    }
-
-    bool done() const { return finished; }
-
-    /** Ingest one chunk (or close out the run when it ends here). */
-    void
-    step()
-    {
-        if (finished)
-            return;
-        if (atIntervalStart) {
-            // Cooperative stops land only on interval boundaries, so
-            // every completed interval is whole and scored; the
-            // partial state of an aborted interval is never produced.
-            if (options.cancel != nullptr &&
-                options.cancel->cancelled()) {
-                out.stopped = RunStopReason::Cancelled;
-                finishUp();
-                return;
-            }
-            if (options.deadlineMs > 0 &&
-                Clock::now() - start >=
-                    std::chrono::milliseconds(options.deadlineMs)) {
-                out.stopped = RunStopReason::DeadlineExceeded;
-                finishUp();
-                return;
-            }
-            atIntervalStart = false;
-            consumed = 0;
-        }
-
-        // Chunks never cross an interval boundary, so endInterval
-        // always lands exactly on intervalLength events.
-        const uint64_t want = std::min<uint64_t>(
-            options.batchSize, intervalLength - consumed);
-        const TupleSpan chunk = stream.take(static_cast<size_t>(want));
-        if (chunk.empty()) {
-            // Stream ran dry: discard the partial interval.
-            out.eventsConsumed += consumed;
-            if (options.score)
-                perfect.reset();
-            finishUp();
-            return;
-        }
-        if (options.score)
-            perfect.onEvents(chunk.data(), chunk.size());
-        for (auto *profiler : profilers)
-            profiler->onEvents(chunk.data(), chunk.size());
-        consumed += chunk.size();
-        if (consumed < intervalLength)
-            return;
-
-        out.eventsConsumed += consumed;
-        if (options.score) {
-            // Pipelined drain: join the previous interval's scoring,
-            // capture this interval's truth and snapshots, and hand
-            // them to the worker — ingest of the next interval (or of
-            // the other lanes of an interleaved run) overlaps the
-            // scoring pass instead of stalling on it.
-            joinDrain();
-            auto drain = std::make_unique<PendingDrain>();
-            drain->truth = perfect.takeCounts();
-            drain->snaps.reserve(profilers.size());
-            for (auto *profiler : profilers)
-                drain->snaps.push_back(profiler->endInterval());
-            drain->scores.resize(profilers.size());
-            PendingDrain *const work = drain.get();
-            pending = std::move(drain);
-            const uint64_t threshold = thresholdCount;
-            drainDone =
-                std::async(std::launch::async, [work, threshold]() {
-                    for (size_t i = 0; i < work->snaps.size(); ++i) {
-                        work->scores[i] = scoreInterval(
-                            work->truth, work->snaps[i], threshold);
-                    }
-                });
-            if (!options.overlapDrain)
-                joinDrain();
-        } else {
-            for (size_t i = 0; i < profilers.size(); ++i) {
-                IntervalSnapshot snap = profilers[i]->endInterval();
-                if (options.keepSnapshots)
-                    snapshots[i].push_back(std::move(snap));
-            }
-        }
-        ++out.intervalsCompleted;
-        ++interval;
-        atIntervalStart = true;
-        if (interval >= numIntervals)
-            finishUp();
-    }
-
-    /** The run's output; valid once done(). */
-    RunOutput
-    finish()
-    {
-        MHP_REQUIRE(finished, "lane engine finished early");
-        if (options.keepSnapshots)
-            out.snapshots = std::move(snapshots);
-        return std::move(out);
-    }
-
-  private:
-    using Clock = std::chrono::steady_clock;
-
-    void
-    finishUp()
-    {
-        joinDrain();
-        finished = true;
-    }
-
-    void
-    joinDrain()
-    {
-        if (!pending)
-            return;
-        drainDone.wait();
-        out.stream.distinctTuples.push_back(pending->truth.size());
-        for (size_t i = 0; i < profilers.size(); ++i) {
-            out.results[i].intervals.push_back(pending->scores[i]);
-            if (options.keepSnapshots)
-                snapshots[i].push_back(std::move(pending->snaps[i]));
-        }
-        pending.reset();
-    }
-
-    StreamCursor &stream;
-    const std::vector<HardwareProfiler *> profilers;
-    const uint64_t intervalLength;
-    const uint64_t thresholdCount;
-    const uint64_t numIntervals;
-    const StreamRunOptions options;
-
-    RunOutput out;
-    std::vector<std::vector<IntervalSnapshot>> snapshots;
-    PerfectProfiler perfect;
-    const Clock::time_point start;
-
-    // The drain pipeline: at most one interval's scoring in flight
-    // per lane while the next interval ingests. Joined in interval
-    // order, so scores and snapshots land exactly as the stalling
-    // form appends them.
-    std::unique_ptr<PendingDrain> pending;
-    std::future<void> drainDone;
-
-    uint64_t interval = 0;
-    uint64_t consumed = 0;
-    bool atIntervalStart = true;
-    bool finished = false;
-};
-
-} // namespace
 
 ErrorBreakdown
 RunResult::averageError() const
@@ -279,47 +67,77 @@ runIntervalsStream(StreamCursor &stream,
                    uint64_t numIntervals,
                    const StreamRunOptions &options)
 {
-    LaneEngine engine(stream, profilers, intervalLength,
-                      thresholdCount, numIntervals, options);
-    while (!engine.done())
-        engine.step();
-    return engine.finish();
-}
+    MHP_REQUIRE(!profilers.empty(), "no profilers to run");
+    MHP_REQUIRE(intervalLength > 0, "intervalLength must be positive");
+    MHP_REQUIRE(options.batchSize > 0, "batchSize must be positive");
 
-std::vector<RunOutput>
-runIntervalsInterleaved(const std::vector<InterleavedLane> &lanes,
-                        const StreamRunOptions &options)
-{
-    // LaneEngine holds a future and reference members, so the engines
-    // are heap-pinned rather than moved.
-    std::vector<std::unique_ptr<LaneEngine>> engines;
-    engines.reserve(lanes.size());
-    for (const InterleavedLane &lane : lanes) {
-        MHP_REQUIRE(lane.stream != nullptr,
-                    "interleaved lane has no stream");
-        engines.push_back(std::make_unique<LaneEngine>(
-            *lane.stream, lane.profilers, lane.intervalLength,
-            lane.thresholdCount, lane.numIntervals, options));
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point start = Clock::now();
+
+    RunOutput out;
+    out.results.resize(profilers.size());
+    if (options.keepSnapshots)
+        out.snapshots.resize(profilers.size());
+    for (size_t i = 0; i < profilers.size(); ++i) {
+        MHP_REQUIRE(profilers[i] != nullptr, "null profiler");
+        out.results[i].profilerName = profilers[i]->name();
     }
+    PerfectProfiler perfect(options.score ? thresholdCount : 1);
 
-    // Round-robin, one chunk per visit: while one lane's counter-bank
-    // gathers are waiting on memory, the core is already hashing the
-    // next lane's block.
-    bool live = !engines.empty();
-    while (live) {
-        live = false;
-        for (auto &engine : engines) {
-            if (engine->done())
-                continue;
-            engine->step();
-            live = live || !engine->done();
+    for (uint64_t interval = 0; interval < numIntervals; ++interval) {
+        // Cooperative stops land only on interval boundaries, so every
+        // completed interval is whole and scored; the partial state of
+        // an aborted interval is never produced.
+        if (options.cancel != nullptr && options.cancel->cancelled()) {
+            out.stopped = RunStopReason::Cancelled;
+            break;
         }
-    }
+        if (options.deadlineMs > 0 &&
+            Clock::now() - start >=
+                std::chrono::milliseconds(options.deadlineMs)) {
+            out.stopped = RunStopReason::DeadlineExceeded;
+            break;
+        }
 
-    std::vector<RunOutput> out;
-    out.reserve(engines.size());
-    for (auto &engine : engines)
-        out.push_back(engine->finish());
+        // Chunks never cross an interval boundary, so endInterval
+        // always lands exactly on intervalLength events.
+        uint64_t consumed = 0;
+        while (consumed < intervalLength) {
+            const uint64_t want = std::min<uint64_t>(
+                options.batchSize, intervalLength - consumed);
+            const TupleSpan chunk =
+                stream.take(static_cast<size_t>(want));
+            if (chunk.empty())
+                break;
+            if (options.score)
+                perfect.onEvents(chunk.data(), chunk.size());
+            for (auto *profiler : profilers)
+                profiler->onEvents(chunk.data(), chunk.size());
+            consumed += chunk.size();
+        }
+        out.eventsConsumed += consumed;
+        if (consumed < intervalLength)
+            break; // stream ran dry: discard the partial interval
+
+        if (options.score) {
+            const auto truth = perfect.takeCounts();
+            out.stream.distinctTuples.push_back(truth.size());
+            for (size_t i = 0; i < profilers.size(); ++i) {
+                IntervalSnapshot snap = profilers[i]->endInterval();
+                out.results[i].intervals.push_back(
+                    scoreInterval(truth, snap, thresholdCount));
+                if (options.keepSnapshots)
+                    out.snapshots[i].push_back(std::move(snap));
+            }
+        } else {
+            for (size_t i = 0; i < profilers.size(); ++i) {
+                IntervalSnapshot snap = profilers[i]->endInterval();
+                if (options.keepSnapshots)
+                    out.snapshots[i].push_back(std::move(snap));
+            }
+        }
+        ++out.intervalsCompleted;
+    }
     return out;
 }
 
@@ -327,34 +145,7 @@ RunOutput
 runIntervals(EventSource &source,
              const std::vector<HardwareProfiler *> &profilers,
              uint64_t intervalLength, uint64_t thresholdCount,
-             uint64_t numIntervals)
-{
-    // Per-event cadence: a one-event staging cursor delivers every
-    // tuple as its own onEvents() block, which each profiler's base
-    // class runs through onEvent() (equivalence asserted by
-    // tests/core/test_batched_ingest).
-    EventSourceCursor cursor(source, 1);
-    StreamRunOptions options;
-    options.batchSize = 1;
-    return runIntervalsStream(cursor, profilers, intervalLength,
-                              thresholdCount, numIntervals, options);
-}
-
-RunOutput
-runIntervals(EventSource &source, HardwareProfiler &profiler,
-             uint64_t intervalLength, uint64_t thresholdCount,
-             uint64_t numIntervals)
-{
-    std::vector<HardwareProfiler *> profilers{&profiler};
-    return runIntervals(source, profilers, intervalLength, thresholdCount,
-                        numIntervals);
-}
-
-RunOutput
-runIntervalsBatched(EventSource &source,
-                    const std::vector<HardwareProfiler *> &profilers,
-                    uint64_t intervalLength, uint64_t thresholdCount,
-                    uint64_t numIntervals, uint64_t batchSize)
+             uint64_t numIntervals, uint64_t batchSize)
 {
     MHP_REQUIRE(batchSize > 0, "batchSize must be positive");
     EventSourceCursor cursor(
@@ -390,8 +181,9 @@ runIntervalsSpan(TupleSpan stream,
         snapshots[i].resize(intervals);
     }
     out.stream.distinctTuples.resize(intervals);
-    // Mirror runIntervals(): a trailing partial interval is consumed
-    // (then discarded), a finished run leaves the tail untouched.
+    // Mirror runIntervalsStream(): a trailing partial interval is
+    // consumed (then discarded), a finished run leaves the tail
+    // untouched.
     out.eventsConsumed = std::min<uint64_t>(
         stream.size(), numIntervals * intervalLength);
     out.intervalsCompleted = intervals;

@@ -8,14 +8,13 @@
  * which is how the benches sweep Figure 7/10/11/12 design spaces
  * efficiently and with identical inputs per configuration.
  *
- * One engine, many faces: runIntervalsStream() is the chunk-pull core
- * of the streaming data plane — it pulls contiguous blocks from a
- * StreamCursor, clips them to interval boundaries, and feeds every
- * profiler through onEvents() in O(chunk) memory. runIntervals(),
- * runIntervalsBatched(), and the per-profiler ingest leg of
- * runIntervalsSpan() are thin adapters over it; every path produces
- * bit-identical scores and snapshots (asserted by tests). See
- * docs/STREAMING.md.
+ * Three runners, one engine: runIntervalsStream() pulls contiguous
+ * blocks from a StreamCursor, clips them to interval boundaries, feeds
+ * every profiler through onEvents() in O(chunk) memory, and scores each
+ * interval inline as it closes. runIntervals() adapts an EventSource
+ * onto it; runIntervalsSpan() runs an in-memory span with parallel
+ * ingest and scoring phases. Every path produces bit-identical scores
+ * and snapshots (asserted by tests). See docs/STREAMING.md.
  */
 
 #ifndef MHP_ANALYSIS_INTERVAL_RUNNER_H
@@ -129,34 +128,20 @@ struct StreamRunOptions
      * the completed prefix with stopped == DeadlineExceeded.
      */
     uint64_t deadlineMs = 0;
-
-    /**
-     * Software-pipeline the interval drain: at each boundary the
-     * profiler snapshots and the interval's exact counts are handed
-     * to a drain worker that scores them while the main thread is
-     * already hashing the next interval's events, instead of stalling
-     * ingest for the full scoring pass. Joins happen in interval
-     * order against per-interval state the worker owns outright, so
-     * the output is bit-identical to the stalling form (asserted by
-     * tests); disable only to measure that equivalence. Scoring-off
-     * runs have no drain work to overlap and ignore this.
-     */
-    bool overlapDrain = true;
 };
 
 /**
- * The chunk-pull streaming engine every other runner is an adapter
- * over. Pulls blocks of at most options.batchSize events from the
- * cursor, never crossing an interval boundary, and feeds each block
- * to every profiler via onEvents(); at each interval end the
- * profilers' snapshots are scored against a perfect profile of the
- * same events (unless options.score is off). Peak memory is
+ * The chunk-pull streaming engine. Pulls blocks of at most
+ * options.batchSize events from the cursor, never crossing an
+ * interval boundary, and feeds each block to every profiler via
+ * onEvents(); at each interval end the profilers' snapshots are
+ * scored inline against a perfect profile of the same events (unless
+ * options.score is off). Peak memory is
  * O(batchSize) plus whatever the cursor itself holds — a zero-copy
  * cursor (TupleSpanSource, TraceMapSource) adds nothing.
  *
  * A trailing partial interval (stream runs dry before numIntervals *
- * intervalLength events) is consumed but discarded, exactly like
- * every pre-existing runner.
+ * intervalLength events) is consumed but discarded.
  */
 RunOutput runIntervalsStream(
     StreamCursor &stream,
@@ -165,46 +150,13 @@ RunOutput runIntervalsStream(
     uint64_t numIntervals, const StreamRunOptions &options = {});
 
 /**
- * One independent stream in an interleaved run: its cursor, the
- * profilers it feeds (not owned, disjoint from every other lane's),
- * and the interval geometry a dedicated runIntervalsStream() call
- * would get.
- */
-struct InterleavedLane
-{
-    StreamCursor *stream = nullptr;
-    std::vector<HardwareProfiler *> profilers;
-    uint64_t intervalLength = 0;
-    uint64_t thresholdCount = 0;
-    uint64_t numIntervals = 0;
-};
-
-/**
- * Drive K independent streams on ONE thread, round-robin one chunk
- * (<= options.batchSize events, clipped to each lane's interval
- * boundary) per visit. The point is memory-level parallelism, not
- * concurrency: a single lane's hash-indexed counter-bank gathers
- * serialize on dTLB/cache misses, but with K lanes the core hashes
- * and probes lane B's block while lane A's misses are still in
- * flight, hiding miss latency behind the other streams' work — this
- * is how sweep cells share a worker (SweepRunner) and how mhprofd
- * drains tenant queues.
- *
- * Each lane runs the exact state machine runIntervalsStream() runs
- * (same code path, merely scheduled differently), so out[i] is
- * bit-identical to a dedicated runIntervalsStream() call on lane i —
- * asserted by tests. Lanes finish independently; a dry or cancelled
- * lane drops out of the rotation while the rest continue. The shared
- * options apply to every lane (one deadline budget from entry, one
- * cancel token checked at each lane's boundaries).
- */
-std::vector<RunOutput> runIntervalsInterleaved(
-    const std::vector<InterleavedLane> &lanes,
-    const StreamRunOptions &options = {});
-
-/**
- * Run the stream through every profiler for a number of intervals.
- * (Adapter: runIntervalsStream() pulling single events.)
+ * Run an EventSource through every profiler for a number of intervals:
+ * runIntervalsStream() over an EventSourceCursor that stages events
+ * in blocks of batchSize, so each profiler pays one virtual dispatch
+ * per block instead of per event. Memory use is O(batchSize),
+ * independent of the stream length. The cursor pulls only what each
+ * interval needs, so the source is left exactly after the last
+ * consumed event.
  *
  * @param source The event stream (consumed).
  * @param profilers The hardware profilers under test (not owned).
@@ -212,30 +164,12 @@ std::vector<RunOutput> runIntervalsInterleaved(
  * @param thresholdCount Candidate threshold in occurrences.
  * @param numIntervals Intervals to execute; a finite source may end
  *        the run early (partial final intervals are discarded).
+ * @param batchSize Events per onEvents() block.
  */
 RunOutput runIntervals(EventSource &source,
                        const std::vector<HardwareProfiler *> &profilers,
                        uint64_t intervalLength, uint64_t thresholdCount,
-                       uint64_t numIntervals);
-
-/** Convenience overload for a single profiler. */
-RunOutput runIntervals(EventSource &source, HardwareProfiler &profiler,
-                       uint64_t intervalLength, uint64_t thresholdCount,
-                       uint64_t numIntervals);
-
-/**
- * Streaming batched variant of runIntervals(): identical output, but
- * events are buffered and delivered through onEvents() in blocks of
- * batchSize, so each profiler pays one virtual dispatch per block
- * instead of per event. Memory use is O(batchSize), independent of
- * the stream length — this is the variant workload-backed sweep
- * cells use. (Adapter: runIntervalsStream() over an
- * EventSourceCursor.)
- */
-RunOutput runIntervalsBatched(
-    EventSource &source, const std::vector<HardwareProfiler *> &profilers,
-    uint64_t intervalLength, uint64_t thresholdCount,
-    uint64_t numIntervals, uint64_t batchSize = 4096);
+                       uint64_t numIntervals, uint64_t batchSize = 4096);
 
 /** Knobs of the in-memory parallel runner. */
 struct BatchedRunOptions
@@ -256,18 +190,18 @@ struct BatchedRunOptions
 };
 
 /**
- * In-memory parallel variant of runIntervals(): identical scores, with
- * two parallel phases. Ingest runs each profiler's full timeline on
- * its own worker (profilers share no state; each consumes the same
- * read-only span). Scoring rebuilds the perfect profile of each
+ * In-memory parallel variant of runIntervalsStream(): identical
+ * scores, with two parallel phases. Ingest runs each profiler's full
+ * timeline on its own worker (profilers share no state; each consumes
+ * the same read-only span). Scoring rebuilds the perfect profile of each
  * interval independently and scores all profilers against it, one
  * interval per worker. All results land in slots indexed by
  * (profiler, interval), so the merge is deterministic and bit-identical
  * to the serial run regardless of scheduling.
  *
  * A trailing partial interval (stream shorter than numIntervals *
- * intervalLength) is discarded, exactly like runIntervals() on a
- * finite source.
+ * intervalLength) is discarded, exactly like the streaming runner on
+ * a finite source.
  */
 RunOutput runIntervalsSpan(
     TupleSpan stream, const std::vector<HardwareProfiler *> &profilers,

@@ -384,19 +384,4 @@ ProfileReader::next()
     return std::optional<IntervalSnapshot>(std::move(snapshot));
 }
 
-StatusOr<std::vector<IntervalSnapshot>>
-ProfileReader::readAll()
-{
-    std::vector<IntervalSnapshot> all;
-    for (;;) {
-        StatusOr<std::optional<IntervalSnapshot>> got = next();
-        if (!got.isOk())
-            return got.status();
-        if (!got->has_value())
-            break;
-        all.push_back(std::move(**got));
-    }
-    return all;
-}
-
 } // namespace mhp

@@ -134,8 +134,8 @@ class ProfileReader
      * Cursor: read the next snapshot, or nullopt at the clean end of
      * the profile (where a v2 file with bytes trailing the last
      * declared interval is rejected as corrupt). Peak memory is one
-     * interval — this is the streaming interface the tools and
-     * readAll() are built on.
+     * interval — this is the streaming interface the tools are built
+     * on.
      */
     StatusOr<std::optional<IntervalSnapshot>> next();
 
@@ -145,13 +145,6 @@ class ProfileReader
      *         a CorruptData/IoError Status (path + offset + reason).
      */
     StatusOr<bool> readInterval(IntervalSnapshot &snapshot);
-
-    /**
-     * Read all remaining snapshots into memory at once.
-     * @deprecated Convenience wrapper over next(); prefer the cursor —
-     * it keeps peak memory at one interval instead of the whole file.
-     */
-    StatusOr<std::vector<IntervalSnapshot>> readAll();
 
   private:
     ProfileReader() = default;

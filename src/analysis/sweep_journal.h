@@ -1,8 +1,8 @@
 /**
  * @file
- * The CRC-journaled sweep checkpoint format, shared by the in-process
- * sweep engine (SweepRunner::runWithCheckpoint / runResilient) and the
- * distributed coordinator (see docs/DISTRIBUTED.md).
+ * The CRC-journaled sweep checkpoint format, shared by
+ * SweepRunner::runResilient and the distributed coordinator (see
+ * docs/DISTRIBUTED.md).
  *
  * A journal is a 24-byte header — magic, plan fingerprint, header
  * CRC — followed by append-only records, each `size(8) payload crc(4)`.
@@ -21,7 +21,7 @@
  * journals written by the single-process engine — which emits no
  * leases — and by the coordinator are mutually resumable. Loading
  * stops at the first record that fails its CRC or parse (a record
- * torn by a kill), exactly like the PR 2 format this generalizes.
+ * torn by a kill).
  */
 
 #ifndef MHP_ANALYSIS_SWEEP_JOURNAL_H

@@ -11,7 +11,6 @@
 #include "analysis/sweep_journal.h"
 #include "core/factory.h"
 #include "support/bytes.h"
-#include "support/env.h"
 #include "support/failpoint.h"
 #include "support/panic.h"
 #include "support/parallel.h"
@@ -52,6 +51,28 @@ backoffDelayMs(const SweepResilienceOptions &options, uint64_t cell,
         static_cast<double>(mix.next() >> 11) * 0x1.0p-53;
     return static_cast<uint64_t>(static_cast<double>(raw) *
                                  (0.5 + 0.5 * unit));
+}
+
+/** A cell's (benchmark, config, interval-length) indexes. */
+struct CellCoordinates
+{
+    size_t benchmark = 0;
+    size_t config = 0;
+    size_t intervalLength = 0;
+};
+
+/** Cells are numbered benchmark-major, interval length fastest. */
+CellCoordinates
+coordinatesOf(const SweepPlan &plan, uint64_t cell)
+{
+    const size_t lengths =
+        plan.intervalLengths.empty() ? 1 : plan.intervalLengths.size();
+    const size_t rem = cell % (plan.configs.size() * lengths);
+    CellCoordinates at;
+    at.benchmark = cell / (plan.configs.size() * lengths);
+    at.config = rem / lengths;
+    at.intervalLength = rem % lengths;
+    return at;
 }
 
 } // namespace
@@ -123,224 +144,71 @@ SweepRunner::planFingerprint() const
     return fnv1a64(plan.data(), plan.size());
 }
 
-/**
- * A cell ready to stream. The cursor always points at storage owned
- * here, so a group of executions can outlive the preparing scope and
- * interleave.
- */
-struct SweepRunner::CellExecution
-{
-    /** Workload-backed cells: the regenerated source + its cursor. */
-    std::unique_ptr<EventSource> workload;
-    std::unique_ptr<EventSourceCursor> workloadCursor;
-    /** Trace-backed cells: a zero-copy cursor on the shared map. */
-    std::unique_ptr<TraceMapSource> traceCursor;
-
-    std::unique_ptr<HardwareProfiler> profiler;
-    StreamCursor *stream = nullptr;
-    uint64_t intervalLength = 0;
-    uint64_t thresholdCount = 0;
-
-    /** Move a finished lane's output into the cell's result slot. */
-    static void
-    fill(SweepCellResult &result, RunOutput &&run)
-    {
-        result.run = std::move(run.results[0]);
-        result.stream = std::move(run.stream);
-        result.eventsConsumed = run.eventsConsumed;
-        result.intervalsCompleted = run.intervalsCompleted;
-    }
-};
-
-std::unique_ptr<SweepRunner::CellExecution>
-SweepRunner::prepareCell(size_t cell, SweepCellResult &result) const
-{
-    const SweepPlan &plan = sweepPlan;
-    const size_t lengths =
-        plan.intervalLengths.empty() ? 1 : plan.intervalLengths.size();
-
-    const size_t b = cell / (plan.configs.size() * lengths);
-    const size_t rem = cell % (plan.configs.size() * lengths);
-    const size_t c = rem / lengths;
-    const size_t l = rem % lengths;
-
-    result.benchmarkIndex = b;
-    result.configIndex = c;
-    result.intervalLengthIndex = l;
-    result.benchmark = plan.benchmarks[b];
-    result.configLabel = plan.configs[c].label;
-
-    ProfilerConfig config = plan.configs[c].config;
-    if (!plan.intervalLengths.empty())
-        config.intervalLength = plan.intervalLengths[l];
-    result.intervalLength = config.intervalLength;
-    result.thresholdCount = config.thresholdCount();
-
-    auto exec = std::make_unique<CellExecution>();
-    exec->profiler = makeProfiler(config);
-    exec->intervalLength = config.intervalLength;
-    exec->thresholdCount = config.thresholdCount();
-
-    if (plan.trace) {
-        // Every cell gets its own cursor over the one shared mapping:
-        // zero-copy chunks, no per-cell trace materialization.
-        exec->traceCursor =
-            std::make_unique<TraceMapSource>(plan.trace);
-        exec->stream = exec->traceCursor.get();
-    } else {
-        switch (plan.kind) {
-        case ProfileKind::Edge:
-            exec->workload =
-                makeEdgeWorkload(result.benchmark, plan.workloadSeed);
-            break;
-        case ProfileKind::Path:
-            exec->workload =
-                makePathWorkload(result.benchmark, plan.workloadSeed);
-            break;
-        default:
-            exec->workload =
-                makeValueWorkload(result.benchmark, plan.workloadSeed);
-            break;
-        }
-        // Mirror runIntervalsBatched() exactly (cursor capacity
-        // clipped to one interval) so a resilient run's results stay
-        // bit-identical to run()'s and to existing checkpoints.
-        exec->workloadCursor = std::make_unique<EventSourceCursor>(
-            *exec->workload,
-            static_cast<size_t>(
-                std::min(plan.batchSize, config.intervalLength)));
-        exec->stream = exec->workloadCursor.get();
-    }
-    return exec;
-}
-
-void
-SweepRunner::computeCell(size_t cell, SweepCellResult &result) const
-{
-    // No cancel, no deadline: the stream can only stop by finishing.
-    computeCellStream(cell, result, nullptr, 0);
-}
-
 RunStopReason
 SweepRunner::computeCellStream(size_t cell, SweepCellResult &result,
                                const CancelToken *cancel,
                                uint64_t deadlineMs) const
 {
-    std::unique_ptr<CellExecution> exec = prepareCell(cell, result);
+    const SweepPlan &plan = sweepPlan;
+    const CellCoordinates at = coordinatesOf(plan, cell);
+    result.benchmarkIndex = at.benchmark;
+    result.configIndex = at.config;
+    result.intervalLengthIndex = at.intervalLength;
+    result.benchmark = plan.benchmarks[at.benchmark];
+    result.configLabel = plan.configs[at.config].label;
+
+    ProfilerConfig config = plan.configs[at.config].config;
+    if (!plan.intervalLengths.empty())
+        config.intervalLength = plan.intervalLengths[at.intervalLength];
+    result.intervalLength = config.intervalLength;
+    result.thresholdCount = config.thresholdCount();
+
+    const std::unique_ptr<HardwareProfiler> profiler =
+        makeProfiler(config);
+    std::unique_ptr<EventSource> workload;
+    std::unique_ptr<StreamCursor> cursor;
+    if (plan.trace) {
+        // Every cell gets its own cursor over the one shared mapping:
+        // zero-copy chunks, no per-cell trace materialization.
+        cursor = std::make_unique<TraceMapSource>(plan.trace);
+    } else {
+        switch (plan.kind) {
+        case ProfileKind::Edge:
+            workload =
+                makeEdgeWorkload(result.benchmark, plan.workloadSeed);
+            break;
+        case ProfileKind::Path:
+            workload =
+                makePathWorkload(result.benchmark, plan.workloadSeed);
+            break;
+        default:
+            workload =
+                makeValueWorkload(result.benchmark, plan.workloadSeed);
+            break;
+        }
+        // Mirror runIntervals() exactly (cursor capacity clipped to
+        // one interval) so results stay bit-identical to existing
+        // checkpoints.
+        cursor = std::make_unique<EventSourceCursor>(
+            *workload,
+            static_cast<size_t>(
+                std::min(plan.batchSize, config.intervalLength)));
+    }
 
     StreamRunOptions options;
-    options.batchSize = sweepPlan.batchSize;
+    options.batchSize = plan.batchSize;
     options.cancel = cancel;
     options.deadlineMs = deadlineMs;
 
     RunOutput run = runIntervalsStream(
-        *exec->stream, {exec->profiler.get()}, exec->intervalLength,
-        exec->thresholdCount, sweepPlan.intervals, options);
+        *cursor, {profiler.get()}, config.intervalLength,
+        config.thresholdCount(), plan.intervals, options);
 
-    const RunStopReason stopped = run.stopped;
-    CellExecution::fill(result, std::move(run));
-    return stopped;
-}
-
-std::vector<SweepCellResult>
-SweepRunner::run(unsigned threads, unsigned lanesPerWorker) const
-{
-    const size_t cells = cellCount();
-    std::vector<SweepCellResult> out(cells);
-
-    size_t lanes = lanesPerWorker;
-    if (lanes == 0)
-        lanes = static_cast<size_t>(
-            std::max<int64_t>(1, envInt("MHP_INTERLEAVE", 4)));
-
-    // Cells are independent: each streams its own cursor (regenerated
-    // workload or a view of the shared mapping) and writes only its
-    // own slot, so any schedule merges into the same output. Each
-    // worker interleaves a contiguous group of `lanes` cells, one
-    // block per cell round-robin, hiding one cell's counter-bank
-    // misses behind the others' hashing. grain=1 because groups are
-    // few and unevenly sized (a 1M-event interval next to a 10K one).
-    const size_t groups = (cells + lanes - 1) / lanes;
-    parallelFor(
-        groups,
-        [&](size_t group) {
-            const size_t lo = group * lanes;
-            const size_t hi = std::min(cells, lo + lanes);
-            std::vector<std::unique_ptr<CellExecution>> execs;
-            std::vector<InterleavedLane> laneSpecs;
-            execs.reserve(hi - lo);
-            laneSpecs.reserve(hi - lo);
-            for (size_t cell = lo; cell < hi; ++cell) {
-                execs.push_back(prepareCell(cell, out[cell]));
-                CellExecution &exec = *execs.back();
-                laneSpecs.push_back({exec.stream,
-                                     {exec.profiler.get()},
-                                     exec.intervalLength,
-                                     exec.thresholdCount,
-                                     sweepPlan.intervals});
-            }
-            StreamRunOptions options;
-            options.batchSize = sweepPlan.batchSize;
-            std::vector<RunOutput> runs =
-                runIntervalsInterleaved(laneSpecs, options);
-            for (size_t i = 0; i < runs.size(); ++i)
-                CellExecution::fill(out[lo + i],
-                                    std::move(runs[i]));
-        },
-        threads, /*grain=*/1);
-
-    return out;
-}
-
-StatusOr<std::vector<SweepCellResult>>
-SweepRunner::runWithCheckpoint(const std::string &checkpointPath,
-                               unsigned threads) const
-{
-    const size_t cells = cellCount();
-    const uint64_t fingerprint = planFingerprint();
-
-    StatusOr<LoadedCheckpoint> loaded =
-        loadSweepCheckpoint(checkpointPath, fingerprint, cells);
-    if (!loaded.isOk())
-        return loaded.status();
-
-    // Drop any corrupt/truncated tail before appending, then reopen
-    // the journal (or start one) for the cells still to compute.
-    CheckpointJournal journal;
-    if (Status bad = journal.open(checkpointPath, fingerprint, *loaded);
-        !bad.isOk())
-        return bad;
-
-    std::vector<SweepCellResult> out(cells);
-    std::mutex errorMutex;
-    Status journalStatus;
-
-    parallelFor(
-        cells,
-        [&](size_t cell) {
-            if (auto it = loaded->completed.find(cell);
-                it != loaded->completed.end()) {
-                out[cell] = it->second;
-                return;
-            }
-
-            SweepCellResult &result = out[cell];
-            computeCell(cell, result);
-
-            if (Status appended = journal.append(cell, result);
-                !appended.isOk()) {
-                std::lock_guard<std::mutex> lock(errorMutex);
-                if (journalStatus.isOk())
-                    journalStatus = std::move(appended);
-            }
-        },
-        threads, /*grain=*/1);
-
-    if (!journalStatus.isOk())
-        return journalStatus;
-    if (Status finished = journal.finish(); !finished.isOk())
-        return finished;
-    return out;
+    result.run = std::move(run.results[0]);
+    result.stream = std::move(run.stream);
+    result.eventsConsumed = run.eventsConsumed;
+    result.intervalsCompleted = run.intervalsCompleted;
+    return run.stopped;
 }
 
 CellOutcome
@@ -436,19 +304,15 @@ SweepRunner::quarantineFor(uint64_t cell, unsigned attempts,
                            Status lastError) const
 {
     const SweepPlan &plan = sweepPlan;
-    const size_t lengths =
-        plan.intervalLengths.empty() ? 1 : plan.intervalLengths.size();
-    const size_t b = cell / (plan.configs.size() * lengths);
-    const size_t rem = cell % (plan.configs.size() * lengths);
-    const size_t c = rem / lengths;
-    const size_t l = rem % lengths;
+    const CellCoordinates at = coordinatesOf(plan, cell);
     QuarantinedCell q;
     q.cellIndex = cell;
-    q.benchmark = plan.benchmarks[b];
-    q.configLabel = plan.configs[c].label;
-    q.intervalLength = plan.intervalLengths.empty()
-                           ? plan.configs[c].config.intervalLength
-                           : plan.intervalLengths[l];
+    q.benchmark = plan.benchmarks[at.benchmark];
+    q.configLabel = plan.configs[at.config].label;
+    q.intervalLength =
+        plan.intervalLengths.empty()
+            ? plan.configs[at.config].config.intervalLength
+            : plan.intervalLengths[at.intervalLength];
     q.attempts = attempts;
     q.status = std::move(lastError);
     return q;

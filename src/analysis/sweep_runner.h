@@ -8,30 +8,22 @@
  * or, when the plan carries a mapped trace, replays one immutable
  * TraceMap through its own zero-copy cursor — and runs the streaming
  * interval pipeline serially, so cells share no mutable state; results
- * land in slots indexed by cell, which makes
- * the merged output bit-identical for every thread count (asserted by
- * tests/analysis/test_sweep_runner). This is the engine behind the
- * figure benches' suite sweeps and any tool that scores many profiler
- * configurations at once.
+ * land in slots indexed by cell, which makes the merged output
+ * bit-identical for every thread count (asserted by
+ * tests/analysis/test_sweep_runner).
  *
- * Long sweeps can be made crash-safe with runWithCheckpoint(): every
- * finished cell is journaled (CRC-protected, fingerprinted against
- * the plan) to a checkpoint file, and a re-run of the same plan loads
- * the journal, recomputes only the missing cells, and returns output
- * bit-identical to an uninterrupted run — a killed multi-hour sweep
- * resumes from where it stopped (see docs/FORMATS.md for the journal
- * format and tests/integration/test_sweep_resume for the guarantee).
- *
- * runResilient() layers fault tolerance on top: failed cells are
- * retried with capped exponential backoff (deterministically jittered
- * from a seed), cells that keep failing are quarantined into a
- * per-cell Status report instead of aborting the sweep, a per-cell
- * wall-clock deadline bounds runaway cells, and a CancelToken lets a
- * signal handler stop the sweep at an interval boundary with the
- * checkpoint journal intact. Whether a cell fails is a pure function
- * of the failpoint spec and seed (never of the thread schedule), so
- * the surviving results and the quarantine set are bit-identical for
- * every thread count (see docs/ROBUSTNESS.md).
+ * runResilient() is the one entry point. Failed cells are retried with
+ * capped exponential backoff (deterministically jittered from a seed),
+ * cells that keep failing are quarantined into a per-cell Status
+ * report instead of aborting the sweep, a per-cell wall-clock deadline
+ * bounds runaway cells, and a CancelToken stops the sweep at an
+ * interval boundary. With a checkpointPath every finished cell is
+ * journaled (CRC-protected, fingerprinted against the plan), and a
+ * re-run of the same plan recomputes only the missing cells — a killed
+ * sweep resumes bit-identical to an uninterrupted one (see
+ * docs/FORMATS.md and tests/integration/test_sweep_resume). Whether a
+ * cell fails is a pure function of the failpoint spec and seed, never
+ * of the thread schedule (see docs/ROBUSTNESS.md).
  */
 
 #ifndef MHP_ANALYSIS_SWEEP_RUNNER_H
@@ -204,9 +196,12 @@ struct SweepResilienceOptions
 
     /**
      * Journal finished cells here and skip cells a previous run
-     * already journaled (same format and fingerprint gate as
-     * runWithCheckpoint). Empty = no checkpointing. Quarantined and
-     * cancelled cells are never journaled — a rerun retries them.
+     * already journaled; resuming with a modified plan is an
+     * InvalidArgument error, and a record half-written at a crash is
+     * discarded and its cell recomputed. The file is left in place
+     * (delete it to force a full re-run). Empty = no checkpointing.
+     * Quarantined and cancelled cells are never journaled — a rerun
+     * retries them.
      */
     std::string checkpointPath;
 
@@ -248,45 +243,9 @@ class SweepRunner
     size_t cellCount() const;
 
     /**
-     * Evaluate every cell, possibly concurrently, and return the
-     * results in benchmark-major (benchmark, config, interval-length)
-     * order. The output is bit-identical for every thread count and
-     * every interleave width.
-     *
-     * Each worker thread drives its cells through the interleaved
-     * multi-stream engine (runIntervalsInterleaved): contiguous
-     * groups of `lanesPerWorker` cells ingest round-robin, one block
-     * at a time, so one cell's counter-bank miss latency is hidden
-     * behind the other cells' hashing — the single-core win the
-     * ISSUE's memory-wall tier calls for. Grouping only reschedules
-     * the same per-cell state machine, so results are unchanged.
-     *
-     * @param threads Worker count; 0 = min(hardware concurrency,
-     *        cells), overridable via MHP_THREADS.
-     * @param lanesPerWorker Cells interleaved per worker; 0 = the
-     *        MHP_INTERLEAVE environment override or 4. 1 disables
-     *        interleaving (cells run back to back).
-     */
-    std::vector<SweepCellResult> run(unsigned threads = 0,
-                                     unsigned lanesPerWorker = 0) const;
-
-    /**
-     * Crash-safe variant of run(): journal every completed cell to
-     * checkpointPath and skip cells already journaled by an earlier
-     * (killed) run of the same plan. The journal is fingerprinted —
-     * resuming with a modified plan is an InvalidArgument error — and
-     * each record is CRC-protected, so a record half-written at the
-     * moment of a crash is discarded and its cell recomputed. The
-     * returned results are bit-identical to an uninterrupted run();
-     * the checkpoint file is left in place for inspection (delete it
-     * to force a full re-run).
-     */
-    StatusOr<std::vector<SweepCellResult>>
-    runWithCheckpoint(const std::string &checkpointPath,
-                      unsigned threads = 0) const;
-
-    /**
-     * Fault-tolerant variant of run(): every cell gets up to
+     * Evaluate every cell, possibly concurrently, into a report whose
+     * results are in benchmark-major (benchmark, config,
+     * interval-length) order. Every cell gets up to
      * options.maxAttempts attempts (with deterministic capped
      * exponential backoff between them); cells that fail every
      * attempt land in SweepReport::quarantined with their last Status
@@ -333,24 +292,6 @@ class SweepRunner
     uint64_t planFingerprint() const;
 
   private:
-    /**
-     * A cell ready to stream: its (owned) event source and cursor,
-     * profiler, and resolved interval geometry. Defined in the .cc;
-     * built by prepareCell() for both the one-cell paths and the
-     * interleaved groups of run().
-     */
-    struct CellExecution;
-
-    /**
-     * Resolve cell -> (benchmark, config, length), fill `result`'s
-     * metadata, and construct the cell's source and profiler.
-     */
-    std::unique_ptr<CellExecution>
-    prepareCell(size_t cell, SweepCellResult &result) const;
-
-    /** Evaluate one cell into `result` (shared by both run paths). */
-    void computeCell(size_t cell, SweepCellResult &result) const;
-
     /**
      * Evaluate one cell with cooperative stops: cancel and deadline
      * are polled at interval boundaries. Returns why the cell stopped

@@ -80,7 +80,7 @@ class Worker
     Status run();
 
   private:
-    Status handshake();
+    Status handshake(bool &shutdown);
     Status workLoop();
     Status processLease(ActiveLease &active, bool &shutdown);
     Status drainControl(ActiveLease &active, bool &shutdown);
@@ -112,12 +112,15 @@ Worker::run()
     lastSentMs = steadyNowMs();
     lastHeardMs = lastSentMs;
 
-    MHP_RETURN_IF_ERROR(handshake());
+    bool shutdown = false;
+    MHP_RETURN_IF_ERROR(handshake(shutdown));
+    if (shutdown)
+        return Status::ok();
     return workLoop();
 }
 
 Status
-Worker::handshake()
+Worker::handshake(bool &shutdown)
 {
     WireHello hello;
     hello.protoVersion = kSweepProtoVersion;
@@ -130,6 +133,13 @@ Worker::handshake()
     const Status received = conn.recv(frame, opt.ioTimeoutMs);
     if (!received.isOk())
         return lostCoordinator(received);
+    if (frame.type == static_cast<uint8_t>(SweepMsg::Shutdown)) {
+        // A late worker: the coordinator finished every cell before
+        // it served our Hello. There is nothing left to do.
+        (void)sendFrame(SweepMsg::Bye, ByteBuffer());
+        shutdown = true;
+        return Status::ok();
+    }
     if (frame.type != static_cast<uint8_t>(SweepMsg::Plan))
         return Status::corruptDataf(
             "coordinator sent %s before Plan",

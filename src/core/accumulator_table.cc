@@ -294,7 +294,7 @@ AccumulatorTable::loadState(ByteCursor &in)
             static_cast<unsigned long long>(capacity),
             static_cast<unsigned long long>(slots.size()));
 
-    HugeVector<Slot> loaded(slots.size());
+    std::vector<Slot> loaded(slots.size());
     for (Slot &slot : loaded) {
         uint8_t valid = 0;
         uint8_t replaceable = 0;

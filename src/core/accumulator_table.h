@@ -34,7 +34,6 @@
 #include "core/ingest_kernels_ref.h"
 #include "core/profiler.h"
 #include "support/bytes.h"
-#include "support/huge_page.h"
 #include "support/status.h"
 #include "trace/tuple.h"
 
@@ -234,12 +233,7 @@ class AccumulatorTable
     /** Re-pack the index from the valid slots, shedding tombstones. */
     void indexRebuild();
 
-    /**
-     * Huge-page preferred (support/huge_page.h), like the SoA index
-     * below: every accumulator hit bumps a slot, so at paper scale
-     * the array is part of the hash-indexed hot working set.
-     */
-    HugeVector<Slot> slots;
+    std::vector<Slot> slots;
 
     /**
      * The tuple -> slot probe index, in the accum_layout tag-group
@@ -251,9 +245,9 @@ class AccumulatorTable
      * tombstones exceed a quarter of the lanes, which bounds every
      * probe chain (an empty lane always exists within the wraparound).
      */
-    HugeVector<uint8_t> tags;
-    HugeVector<Tuple> laneKeys;
-    HugeVector<uint32_t> laneSlots;
+    std::vector<uint8_t> tags;
+    std::vector<Tuple> laneKeys;
+    std::vector<uint32_t> laneSlots;
     uint64_t groupMask = 0;
     uint64_t entryCount = 0;
     uint64_t tombstones = 0;

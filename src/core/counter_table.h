@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "support/bytes.h"
-#include "support/huge_page.h"
 #include "support/status.h"
 
 namespace mhp {
@@ -101,12 +100,8 @@ class CounterTable
     Status loadState(ByteCursor &in);
 
   private:
-    /**
-     * Backing storage when owning; empty when viewing. Huge-page
-     * preferred (support/huge_page.h) — an owning table is the
-     * single-hash filter's whole hash-indexed working set.
-     */
-    HugeVector<uint64_t> own;
+    /** Backing storage when owning; empty when viewing. */
+    std::vector<uint64_t> own;
     /** own.data() or the external slice. */
     uint64_t *counts;
     uint64_t numEntries;

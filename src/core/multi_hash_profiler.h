@@ -28,7 +28,6 @@
 #include "core/hash_function.h"
 #include "core/ingest_kernels.h"
 #include "core/profiler.h"
-#include "support/huge_page.h"
 
 namespace mhp {
 
@@ -102,11 +101,9 @@ class MultiHashProfiler : public HardwareProfiler
      * structure-of-arrays block, table i at offset i*entriesPerTable.
      * Hash indexes are produced pre-offset into this block, so the
      * counter kernels update all of a tuple's counters from one base
-     * pointer. `tables` are views into the bank. Huge-page-backed
-     * (support/huge_page.h): the bank is hash-indexed, so 4 KiB pages
-     * cost the gather kernels a dTLB walk per lane at paper scale.
+     * pointer. `tables` are views into the bank.
      */
-    HugeVector<uint64_t> counterBank;
+    std::vector<uint64_t> counterBank;
     std::vector<CounterTable> tables;
     AccumulatorTable accumulator;
     uint64_t thresholdCount;

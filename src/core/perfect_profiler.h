@@ -54,9 +54,7 @@ class PerfectProfiler : public HardwareProfiler
      * Close the interval by moving its exact counts out instead of
      * producing a snapshot: the profiler is left in the same
      * fresh-interval state endInterval() leaves, and the caller owns
-     * the truth table outright. This is what lets the streaming
-     * runner score interval i on a drain worker while interval i+1 is
-     * already being ingested into this (now empty) table.
+     * the truth table outright.
      */
     std::unordered_map<Tuple, uint64_t, TupleHash>
     takeCounts()

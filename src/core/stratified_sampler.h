@@ -33,7 +33,6 @@
 #include "core/hash_function.h"
 #include "core/ingest_kernels.h"
 #include "core/profiler.h"
-#include "support/huge_page.h"
 #include "trace/tuple.h"
 
 namespace mhp {
@@ -140,11 +139,10 @@ class StratifiedSampler : public HardwareProfiler
     /** kIngestBlock precomputed signatures (tagged batched only). */
     std::vector<uint64_t> blockSigScratch;
 
-    // Plain variant state. Huge-page preferred (support/huge_page.h):
-    // the counter strip is the sampler's hash-indexed working set.
-    HugeVector<uint64_t> counters;
+    // Plain variant state.
+    std::vector<uint64_t> counters;
     // Tagged variant state.
-    HugeVector<TaggedEntry> taggedEntries;
+    std::vector<TaggedEntry> taggedEntries;
 
     std::vector<AggregatorEntry> aggregator;
     std::vector<Message> buffer;

@@ -17,6 +17,16 @@
 
 namespace mhp {
 
+namespace {
+
+/**
+ * Round-robin drain slice: the most events one tenant ingests before
+ * a tick moves on to the next tenant's queue (one ingest block).
+ */
+constexpr uint64_t kDrainQuantum = 256;
+
+} // namespace
+
 // ---------------------------------------------------------------------------
 // ServiceCore
 
@@ -152,8 +162,8 @@ ServiceCore::tick()
             if (session->state() != TenantState::Active ||
                 session->queuedEvents() == 0)
                 continue;
-            const uint64_t slice = std::min<uint64_t>(
-                budget, std::max<uint64_t>(1, options.drainQuantum));
+            const uint64_t slice =
+                std::min<uint64_t>(budget, kDrainQuantum);
             const uint64_t did = session->drain(
                 slice, options.limits.poisonStrikes, &published);
             if (session->state() == TenantState::Quarantined) {

@@ -69,21 +69,13 @@ struct ServiceOptions
     /** Global ceilings and budgets. */
     AdmissionLimits limits;
 
-    /** Events ingested across all tenants per loop tick. */
-    uint64_t drainBudgetPerTick = 65536;
-
     /**
-     * Round-robin drain quantum: the most events one tenant ingests
-     * before the tick moves to the next tenant's queue. Sized to the
-     * profilers' ingest block (256) so the one drain thread
-     * interleaves every active tenant's stream at block granularity —
-     * while one tenant's counter-bank gathers wait on memory, the
-     * core is hashing the next tenant's block (the same
-     * latency-hiding trick as runIntervalsInterleaved). Per-tenant
-     * event order is untouched, so drained snapshots are byte-
-     * identical at any quantum.
+     * Events ingested across all tenants per loop tick, handed out
+     * round-robin in slices of at most one ingest block (256 events)
+     * per tenant visit. Per-tenant event order is untouched, so the
+     * drained snapshots do not depend on the slicing.
      */
-    uint64_t drainQuantum = 256;
+    uint64_t drainBudgetPerTick = 65536;
 
     /** Disconnect (and evict) tenants idle longer than this. */
     uint64_t idleTimeoutMs = 30'000;

@@ -13,7 +13,6 @@
 
 #include "support/bytes.h"
 #include "support/failpoint.h"
-#include "support/huge_page.h"
 #include "support/panic.h"
 #include "trace/trace_io.h"
 
@@ -89,11 +88,6 @@ TraceMap::open(const std::string &path)
     }
     map->base = base;
     map->mapLength = static_cast<size_t>(fileSize);
-    // Best effort: a paper-scale trace is read back hash-order-random
-    // by sweep cells sharing this one mapping, so huge pages cut the
-    // per-reader dTLB cost. File-backed THP needs kernel support; a
-    // refusal changes nothing.
-    adviseHugeSpan(base, map->mapLength);
     return std::shared_ptr<const TraceMap>(std::move(map));
 }
 

@@ -55,7 +55,8 @@ tempName(const char *stem)
 }
 
 /**
- * Drive a profile file all the way through: open, then readAll. The
+ * Drive a profile file all the way through: open, then next() to the
+ * end. The
  * test only cares that this never crashes; whether a given mutation is
  * detected (almost all) or benign (e.g. a flip in v1's uncheck-summed
  * records) is the format's business.
@@ -68,9 +69,14 @@ consumeProfile(const std::string &path)
         EXPECT_FALSE(opened.status().message().empty());
         return;
     }
-    auto all = opened->readAll();
-    if (!all.isOk()) {
-        EXPECT_FALSE(all.status().message().empty());
+    for (;;) {
+        auto got = opened->next();
+        if (!got.isOk()) {
+            EXPECT_FALSE(got.status().message().empty());
+            return;
+        }
+        if (!got->has_value())
+            return;
     }
 }
 
@@ -153,7 +159,14 @@ TEST(CorruptionCorpusProfileV1, SurvivesAllTruncationsAndBitFlips)
     auto opened = ProfileReader::open(path);
     ASSERT_TRUE(opened.isOk()) << opened.status().toString();
     EXPECT_EQ(opened->formatVersion(), 1u);
-    ASSERT_TRUE(opened->readAll().isOk());
+    for (int iv = 0; iv < 2; ++iv) {
+        auto got = opened->next();
+        ASSERT_TRUE(got.isOk()) << got.status().toString();
+        ASSERT_TRUE(got->has_value());
+    }
+    auto end = opened->next();
+    ASSERT_TRUE(end.isOk()) << end.status().toString();
+    EXPECT_FALSE(end->has_value());
 
     runCorpus(path, valid, consumeProfile);
 }

@@ -183,6 +183,24 @@ TEST_F(FailpointIoTest, TraceMapFailureExercisesReaderFallback)
     EXPECT_EQ((*reader)->totalEvents(), 16u);
 }
 
+/**
+ * Every cell of a runResilient() sweep in plan order, journaled to
+ * `checkpoint` when one is named; the call's error otherwise.
+ */
+StatusOr<std::vector<SweepCellResult>>
+sweepCells(const SweepRunner &runner, unsigned threads,
+           const std::string &checkpoint = "")
+{
+    SweepResilienceOptions options;
+    options.threads = threads;
+    options.checkpointPath = checkpoint;
+    StatusOr<SweepReport> report = runner.runResilient(options);
+    if (!report.isOk())
+        return report.status();
+    EXPECT_TRUE(report->quarantined.empty());
+    return std::move(report->results);
+}
+
 /** A small, fast sweep plan shared by the checkpoint-fault tests. */
 SweepPlan
 smallPlan()
@@ -202,20 +220,20 @@ TEST_F(FailpointIoTest, CheckpointAppendEnospcResumesBitIdentical)
 {
     const std::string ckpt = base + ".ckpt";
     const SweepRunner runner(smallPlan());
-    const auto reference = runner.run(1);
+    const auto reference = *sweepCells(runner, 1);
 
     // Cell 1's append fails (keys are cell indices, so the failing
     // record set is identical at any thread count). The call reports
     // the failure; every other cell's record stays intact.
     ASSERT_TRUE(configureFailpoints("ckpt.append.enospc=2").isOk());
-    auto faulted = runner.runWithCheckpoint(ckpt, 1);
+    auto faulted = sweepCells(runner, 1, ckpt);
     ASSERT_FALSE(faulted.isOk());
     EXPECT_EQ(faulted.status().code(), StatusCode::IoError);
     EXPECT_NE(faulted.status().message().find("injected"),
               std::string::npos);
 
     clearFailpoints();
-    auto resumed = runner.runWithCheckpoint(ckpt, 1);
+    auto resumed = sweepCells(runner, 1, ckpt);
     ASSERT_TRUE(resumed.isOk()) << resumed.status().toString();
     EXPECT_EQ(*resumed, reference);
 }
@@ -224,18 +242,18 @@ TEST_F(FailpointIoTest, CheckpointTornRecordDiscardedOnResume)
 {
     const std::string ckpt = base + ".ckpt";
     const SweepRunner runner(smallPlan());
-    const auto reference = runner.run(1);
+    const auto reference = *sweepCells(runner, 1);
 
     // A short append leaves half a record on disk — the shape a real
     // ENOSPC or kill produces. Resume must discard it (CRC) and
     // recompute from the last intact record.
     ASSERT_TRUE(configureFailpoints("ckpt.append.short=2").isOk());
-    auto faulted = runner.runWithCheckpoint(ckpt, 1);
+    auto faulted = sweepCells(runner, 1, ckpt);
     ASSERT_FALSE(faulted.isOk());
     EXPECT_EQ(faulted.status().code(), StatusCode::IoError);
 
     clearFailpoints();
-    auto resumed = runner.runWithCheckpoint(ckpt, 1);
+    auto resumed = sweepCells(runner, 1, ckpt);
     ASSERT_TRUE(resumed.isOk()) << resumed.status().toString();
     EXPECT_EQ(*resumed, reference);
 }
@@ -244,10 +262,10 @@ TEST_F(FailpointIoTest, CheckpointFsyncFailureReportedJournalIntact)
 {
     const std::string ckpt = base + ".ckpt";
     const SweepRunner runner(smallPlan());
-    const auto reference = runner.run(1);
+    const auto reference = *sweepCells(runner, 1);
 
     ASSERT_TRUE(configureFailpoints("ckpt.fsync=*").isOk());
-    auto faulted = runner.runWithCheckpoint(ckpt, 1);
+    auto faulted = sweepCells(runner, 1, ckpt);
     ASSERT_FALSE(faulted.isOk());
     EXPECT_EQ(faulted.status().code(), StatusCode::IoError);
 
@@ -255,7 +273,7 @@ TEST_F(FailpointIoTest, CheckpointFsyncFailureReportedJournalIntact)
     // failed, so a resume recomputes nothing and matches exactly.
     clearFailpoints();
     const auto sizeBefore = std::filesystem::file_size(ckpt);
-    auto resumed = runner.runWithCheckpoint(ckpt, 1);
+    auto resumed = sweepCells(runner, 1, ckpt);
     ASSERT_TRUE(resumed.isOk()) << resumed.status().toString();
     EXPECT_EQ(*resumed, reference);
     EXPECT_EQ(std::filesystem::file_size(ckpt), sizeBefore);

@@ -43,7 +43,7 @@ TEST(IntervalRunner, PerfectProfilerScoresZero)
 {
     VectorSource src(syntheticStream(3));
     PerfectProfiler reference(10);
-    const RunOutput out = runIntervals(src, reference, 100, 10, 3);
+    const RunOutput out = runIntervals(src, {&reference}, 100, 10, 3);
     ASSERT_EQ(out.intervalsCompleted, 3u);
     const RunResult &r = out.results[0];
     EXPECT_DOUBLE_EQ(r.averageError().total(), 0.0);
@@ -55,7 +55,7 @@ TEST(IntervalRunner, CapturesBothCandidates)
 {
     VectorSource src(syntheticStream(3));
     auto profiler = makeProfiler(smallConfig());
-    const RunOutput out = runIntervals(src, *profiler, 100, 10, 3);
+    const RunOutput out = runIntervals(src, {profiler.get()}, 100, 10, 3);
     const RunResult &r = out.results[0];
     ASSERT_EQ(r.intervals.size(), 3u);
     for (const auto &score : r.intervals)
@@ -68,7 +68,7 @@ TEST(IntervalRunner, TracksEventsConsumed)
 {
     VectorSource src(syntheticStream(3));
     auto profiler = makeProfiler(smallConfig());
-    const RunOutput out = runIntervals(src, *profiler, 100, 10, 3);
+    const RunOutput out = runIntervals(src, {profiler.get()}, 100, 10, 3);
     EXPECT_EQ(out.eventsConsumed, 300u);
 }
 
@@ -78,7 +78,7 @@ TEST(IntervalRunner, DiscardsPartialFinalInterval)
     events.resize(150); // 1.5 intervals
     VectorSource src(std::move(events));
     auto profiler = makeProfiler(smallConfig());
-    const RunOutput out = runIntervals(src, *profiler, 100, 10, 5);
+    const RunOutput out = runIntervals(src, {profiler.get()}, 100, 10, 5);
     EXPECT_EQ(out.intervalsCompleted, 1u);
     EXPECT_EQ(out.results[0].intervals.size(), 1u);
 }
@@ -105,7 +105,7 @@ TEST(IntervalRunner, StreamStatsCountDistinctTuples)
 {
     VectorSource src(syntheticStream(3));
     auto profiler = makeProfiler(smallConfig());
-    const RunOutput out = runIntervals(src, *profiler, 100, 10, 3);
+    const RunOutput out = runIntervals(src, {profiler.get()}, 100, 10, 3);
     ASSERT_EQ(out.stream.distinctTuples.size(), 3u);
     // 2 hot + 20 unique noise tuples per interval.
     for (uint64_t d : out.stream.distinctTuples)
@@ -117,7 +117,7 @@ TEST(IntervalRunner, ProfilerNamesAreRecorded)
 {
     VectorSource src(syntheticStream(1));
     auto profiler = makeProfiler(smallConfig());
-    const RunOutput out = runIntervals(src, *profiler, 100, 10, 1);
+    const RunOutput out = runIntervals(src, {profiler.get()}, 100, 10, 1);
     EXPECT_EQ(out.results[0].profilerName, "mh2-C1R0P1");
 }
 
@@ -127,104 +127,6 @@ TEST(IntervalRunner, EmptyRunResultAveragesAreZero)
     EXPECT_DOUBLE_EQ(r.averageError().total(), 0.0);
     EXPECT_DOUBLE_EQ(r.meanHardwareCandidates(), 0.0);
     EXPECT_DOUBLE_EQ(r.meanPerfectCandidates(), 0.0);
-}
-
-TEST(IntervalRunner, OverlappedDrainIsBitIdenticalToStalling)
-{
-    // The pipelined drain may only change *when* an interval is
-    // scored, never what it produces: identical scores, stream stats,
-    // and snapshots, interval for interval.
-    const std::vector<Tuple> stream = syntheticStream(6);
-    RunOutput got[2];
-    for (int variant = 0; variant < 2; ++variant) {
-        VectorSource src(stream);
-        EventSourceCursor cursor(src, 64);
-        auto profiler = makeProfiler(smallConfig());
-        std::vector<HardwareProfiler *> profilers{profiler.get()};
-        StreamRunOptions options;
-        options.batchSize = 64;
-        options.keepSnapshots = true;
-        options.overlapDrain = variant == 0;
-        got[variant] = runIntervalsStream(cursor, profilers, 100, 10, 6,
-                                          options);
-    }
-    EXPECT_EQ(got[0].results, got[1].results);
-    EXPECT_EQ(got[0].stream, got[1].stream);
-    EXPECT_EQ(got[0].eventsConsumed, got[1].eventsConsumed);
-    EXPECT_EQ(got[0].intervalsCompleted, got[1].intervalsCompleted);
-    EXPECT_EQ(got[0].snapshots, got[1].snapshots);
-}
-
-TEST(IntervalRunner, InterleavedLanesMatchDedicatedRuns)
-{
-    // Interleaving reschedules each lane's state machine; it may not
-    // change any lane's output. Lanes deliberately differ in length,
-    // interval count, and geometry — including one that runs dry
-    // mid-interval — so lanes drop out of the rotation at different
-    // times.
-    const std::vector<Tuple> streams[3] = {
-        syntheticStream(6),
-        syntheticStream(3),
-        [] {
-            auto events = syntheticStream(4);
-            events.resize(250); // dry mid-interval 2 of 4
-            return events;
-        }(),
-    };
-    const uint64_t numIntervals[3] = {6, 3, 4};
-    ProfilerConfig configs[3] = {smallConfig(), smallConfig(),
-                                 smallConfig()};
-    configs[1].numHashTables = 4;
-    configs[2].totalHashEntries = 64;
-
-    StreamRunOptions options;
-    options.batchSize = 64;
-    options.keepSnapshots = true;
-
-    std::vector<RunOutput> dedicated;
-    for (int i = 0; i < 3; ++i) {
-        VectorSource src(streams[i]);
-        EventSourceCursor cursor(src, 64);
-        auto profiler = makeProfiler(configs[i]);
-        dedicated.push_back(runIntervalsStream(
-            cursor, {profiler.get()}, 100, 10, numIntervals[i],
-            options));
-    }
-
-    std::vector<std::unique_ptr<VectorSource>> sources;
-    std::vector<std::unique_ptr<EventSourceCursor>> cursors;
-    std::vector<std::unique_ptr<HardwareProfiler>> profilers;
-    for (int i = 0; i < 3; ++i) {
-        sources.push_back(std::make_unique<VectorSource>(streams[i]));
-        cursors.push_back(
-            std::make_unique<EventSourceCursor>(*sources[i], 64));
-        profilers.push_back(makeProfiler(configs[i]));
-    }
-    std::vector<InterleavedLane> lanes;
-    for (int i = 0; i < 3; ++i)
-        lanes.push_back({cursors[i].get(),
-                         {profilers[i].get()},
-                         100,
-                         10,
-                         numIntervals[i]});
-    const std::vector<RunOutput> interleaved =
-        runIntervalsInterleaved(lanes, options);
-
-    ASSERT_EQ(interleaved.size(), 3u);
-    for (int i = 0; i < 3; ++i) {
-        EXPECT_EQ(interleaved[i].results, dedicated[i].results);
-        EXPECT_EQ(interleaved[i].stream, dedicated[i].stream);
-        EXPECT_EQ(interleaved[i].eventsConsumed,
-                  dedicated[i].eventsConsumed);
-        EXPECT_EQ(interleaved[i].intervalsCompleted,
-                  dedicated[i].intervalsCompleted);
-        EXPECT_EQ(interleaved[i].snapshots, dedicated[i].snapshots);
-    }
-}
-
-TEST(IntervalRunner, InterleavedWithNoLanesIsEmpty)
-{
-    EXPECT_TRUE(runIntervalsInterleaved({}, {}).empty());
 }
 
 TEST(IntervalRunnerDeathTest, RejectsEmptyProfilerList)

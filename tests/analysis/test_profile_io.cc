@@ -3,7 +3,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "analysis/profile_io.h"
 #include "support/bytes.h"
@@ -12,6 +14,21 @@
 
 namespace mhp {
 namespace {
+
+/** Every remaining snapshot, pulled through the next() cursor. */
+StatusOr<std::vector<IntervalSnapshot>>
+collect(ProfileReader &reader)
+{
+    std::vector<IntervalSnapshot> all;
+    for (;;) {
+        StatusOr<std::optional<IntervalSnapshot>> got = reader.next();
+        if (!got.isOk())
+            return got.status();
+        if (!got->has_value())
+            return all;
+        all.push_back(std::move(**got));
+    }
+}
 
 class ProfileIoTest : public ::testing::Test
 {
@@ -85,7 +102,7 @@ TEST_F(ProfileIoTest, EmptyIntervalsRoundTrip)
     auto opened = ProfileReader::open(path);
     ASSERT_TRUE(opened.isOk()) << opened.status().toString();
     EXPECT_EQ(opened->kind(), ProfileKind::Edge);
-    auto all = opened->readAll();
+    auto all = collect(*opened);
     ASSERT_TRUE(all.isOk()) << all.status().toString();
     ASSERT_EQ(all->size(), 2u);
     EXPECT_TRUE((*all)[0].empty());
@@ -103,7 +120,7 @@ TEST_F(ProfileIoTest, ReadAllCollectsEverything)
     auto opened = ProfileReader::open(path);
     ASSERT_TRUE(opened.isOk()) << opened.status().toString();
     EXPECT_EQ(opened->kind(), ProfileKind::CacheMiss);
-    auto all = opened->readAll();
+    auto all = collect(*opened);
     ASSERT_TRUE(all.isOk()) << all.status().toString();
     ASSERT_EQ(all->size(), 5u);
     for (uint64_t iv = 0; iv < 5; ++iv) {
@@ -291,7 +308,7 @@ TEST_F(ProfileIoTest, RecordCorruptionIsDetected)
     }
     auto opened = ProfileReader::open(path);
     ASSERT_TRUE(opened.isOk()) << opened.status().toString();
-    auto all = opened->readAll();
+    auto all = collect(*opened);
     ASSERT_FALSE(all.isOk());
     EXPECT_EQ(all.status().code(), StatusCode::CorruptData);
     EXPECT_NE(all.status().message().find("CRC mismatch"),
@@ -340,7 +357,7 @@ TEST_F(ProfileIoTest, TruncatedFileIsDetected)
 
     auto opened = ProfileReader::open(path);
     ASSERT_TRUE(opened.isOk()) << opened.status().toString();
-    auto all = opened->readAll();
+    auto all = collect(*opened);
     ASSERT_FALSE(all.isOk());
     EXPECT_EQ(all.status().code(), StatusCode::CorruptData);
 }
@@ -357,7 +374,7 @@ TEST_F(ProfileIoTest, TrailingGarbageIsDetected)
     }
     auto opened = ProfileReader::open(path);
     ASSERT_TRUE(opened.isOk()) << opened.status().toString();
-    auto all = opened->readAll();
+    auto all = collect(*opened);
     ASSERT_FALSE(all.isOk());
     EXPECT_EQ(all.status().code(), StatusCode::CorruptData);
     EXPECT_NE(all.status().message().find("trailing garbage"),
@@ -396,7 +413,7 @@ TEST_F(ProfileIoTest, ReadsV2FilesWithPreRegistryKinds)
     ASSERT_TRUE(opened.isOk()) << opened.status().toString();
     EXPECT_EQ(opened->formatVersion(), 2u);
     EXPECT_EQ(opened->kind(), ProfileKind::Edge);
-    auto all = opened->readAll();
+    auto all = collect(*opened);
     ASSERT_TRUE(all.isOk()) << all.status().toString();
     EXPECT_EQ((*all)[0][0], (CandidateCount{{1, 2}, 3}));
 }
@@ -457,7 +474,7 @@ TEST_F(ProfileIoTest, ReadsLegacyV1Files)
     EXPECT_EQ(opened->kind(), ProfileKind::Edge);
     EXPECT_EQ(opened->intervalLength(), 5000u);
     EXPECT_EQ(opened->thresholdCount(), 50u);
-    auto all = opened->readAll();
+    auto all = collect(*opened);
     ASSERT_TRUE(all.isOk()) << all.status().toString();
     ASSERT_EQ(all->size(), 1u);
     ASSERT_EQ((*all)[0].size(), 2u);
@@ -478,7 +495,7 @@ TEST_F(ProfileIoTest, V1OversizedCountIsBoundedToo)
     }
     auto opened = ProfileReader::open(path);
     ASSERT_TRUE(opened.isOk()) << opened.status().toString();
-    auto all = opened->readAll();
+    auto all = collect(*opened);
     ASSERT_FALSE(all.isOk());
     EXPECT_EQ(all.status().code(), StatusCode::CorruptData);
 }

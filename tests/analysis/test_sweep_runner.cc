@@ -5,8 +5,8 @@
  * The sweep engine's contract is bit-identical output for every thread
  * count; these tests pin that down by running the same plan serially
  * and with several workers and comparing every scored field exactly.
- * The runIntervalsBatched()/runIntervalsSpan() equivalence with the
- * per-event runIntervals() is asserted the same way.
+ * The batched runIntervals()/runIntervalsSpan() equivalence with a
+ * per-event reference run is asserted the same way.
  */
 
 #include <gtest/gtest.h>
@@ -54,6 +54,36 @@ expectSameRun(const RunResult &a, const RunResult &b)
         expectSameScore(a.intervals[i], b.intervals[i]);
 }
 
+/** Every cell of a plain runResilient() sweep, in plan order. */
+std::vector<SweepCellResult>
+sweepCells(const SweepRunner &runner, unsigned threads)
+{
+    SweepResilienceOptions options;
+    options.threads = threads;
+    StatusOr<SweepReport> report = runner.runResilient(options);
+    EXPECT_TRUE(report.isOk()) << report.status().toString();
+    if (!report.isOk())
+        return {};
+    EXPECT_TRUE(report->quarantined.empty());
+    return std::move(report->results);
+}
+
+/**
+ * The per-event reference: a one-event staging cursor delivers every
+ * tuple as its own onEvents() block.
+ */
+RunOutput
+runPerEvent(EventSource &source, HardwareProfiler &profiler,
+            uint64_t intervalLength, uint64_t thresholdCount,
+            uint64_t numIntervals)
+{
+    EventSourceCursor cursor(source, 1);
+    StreamRunOptions options;
+    options.batchSize = 1;
+    return runIntervalsStream(cursor, {&profiler}, intervalLength,
+                              thresholdCount, numIntervals, options);
+}
+
 SweepPlan
 smallPlan()
 {
@@ -80,8 +110,8 @@ TEST(SweepRunner, CellCountIsTheFullCross)
 TEST(SweepRunner, ThreadCountDoesNotChangeResults)
 {
     const SweepRunner runner(smallPlan());
-    const auto serial = runner.run(1);
-    const auto threaded = runner.run(4);
+    const auto serial = sweepCells(runner, 1);
+    const auto threaded = sweepCells(runner, 4);
 
     ASSERT_EQ(serial.size(), runner.cellCount());
     ASSERT_EQ(threaded.size(), serial.size());
@@ -99,28 +129,10 @@ TEST(SweepRunner, ThreadCountDoesNotChangeResults)
     }
 }
 
-TEST(SweepRunner, InterleaveWidthDoesNotChangeResults)
-{
-    // Interleaved cell groups only reschedule the per-cell state
-    // machine; every width must produce what a cell-at-a-time run
-    // does, cell for cell.
-    const SweepRunner runner(smallPlan());
-    const auto serial = runner.run(1, 1);
-    for (unsigned lanes : {2u, 4u, 16u}) {
-        const auto interleaved = runner.run(1, lanes);
-        ASSERT_EQ(interleaved.size(), serial.size());
-        for (size_t i = 0; i < serial.size(); ++i) {
-            const SweepCellResult &a = serial[i];
-            const SweepCellResult &b = interleaved[i];
-            EXPECT_EQ(a, b) << "cell " << i << " lanes " << lanes;
-        }
-    }
-}
-
 TEST(SweepRunner, ResultsArriveInPlanOrder)
 {
     const SweepRunner runner(smallPlan());
-    const auto results = runner.run(4);
+    const auto results = sweepCells(runner, 4);
     ASSERT_EQ(results.size(), 8u);
     size_t i = 0;
     for (size_t b = 0; b < 2; ++b) {
@@ -154,12 +166,12 @@ TEST(RunnerVariants, BatchedMatchesPerEvent)
 
     auto p1 = makeProfiler(cfg);
     VectorSource src1(events);
-    const RunOutput serial = runIntervals(src1, *p1, 1000, 10, 5);
+    const RunOutput serial = runPerEvent(src1, *p1, 1000, 10, 5);
 
     auto p2 = makeProfiler(cfg);
     VectorSource src2(events);
     const RunOutput batched =
-        runIntervalsBatched(src2, {p2.get()}, 1000, 10, 5, 333);
+        runIntervals(src2, {p2.get()}, 1000, 10, 5, 333);
 
     EXPECT_EQ(serial.eventsConsumed, batched.eventsConsumed);
     EXPECT_EQ(serial.intervalsCompleted, batched.intervalsCompleted);
@@ -174,7 +186,7 @@ TEST(RunnerVariants, SpanMatchesPerEvent)
 
     auto p1 = makeProfiler(cfg);
     VectorSource src1(events);
-    const RunOutput serial = runIntervals(src1, *p1, 1000, 10, 5);
+    const RunOutput serial = runPerEvent(src1, *p1, 1000, 10, 5);
 
     for (unsigned threads : {1u, 4u}) {
         auto p2 = makeProfiler(cfg);
@@ -292,7 +304,7 @@ class TraceSweepTest : public ::testing::Test
 TEST_F(TraceSweepTest, CellsMatchDirectRunsOverTheSameEvents)
 {
     const SweepRunner runner(tracePlan());
-    const auto cells = runner.run(1);
+    const auto cells = sweepCells(runner, 1);
     ASSERT_EQ(cells.size(), 4u); // 1 stream x 2 configs x 2 lengths
 
     // Every cell must equal a per-event reference run over the same
@@ -304,8 +316,8 @@ TEST_F(TraceSweepTest, CellsMatchDirectRunsOverTheSameEvents)
         auto profiler = makeProfiler(cfg);
         VectorSource source(tuples, ProfileKind::Value, "vector");
         const RunOutput reference =
-            runIntervals(source, *profiler, cfg.intervalLength,
-                         cfg.thresholdCount(), 4);
+            runPerEvent(source, *profiler, cfg.intervalLength,
+                        cfg.thresholdCount(), 4);
         EXPECT_EQ(cell.benchmark, tracePath); // display name defaults
         EXPECT_EQ(cell.eventsConsumed, reference.eventsConsumed);
         EXPECT_EQ(cell.intervalsCompleted,
@@ -319,8 +331,8 @@ TEST_F(TraceSweepTest, CellsMatchDirectRunsOverTheSameEvents)
 TEST_F(TraceSweepTest, ThreadCountDoesNotChangeMappedResults)
 {
     const SweepRunner runner(tracePlan());
-    const auto serial = runner.run(1);
-    const auto threaded = runner.run(4);
+    const auto serial = sweepCells(runner, 1);
+    const auto threaded = sweepCells(runner, 4);
     ASSERT_EQ(serial.size(), threaded.size());
     for (size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(serial[i].eventsConsumed, threaded[i].eventsConsumed);

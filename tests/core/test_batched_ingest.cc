@@ -32,8 +32,11 @@ constexpr uint64_t kIntervalLength = 2000;
 constexpr int kFullIntervals = 5;
 constexpr uint64_t kPartialTail = 500;
 
-/** The profiler architectures under test, built fresh per run. */
-const char *const kArchitectures[] = {
+/** The profiler architectures under test, built fresh per run. Held
+ *  as std::string so gtest prints each parameter by value: a
+ *  const char * prints as its address, which changes every run and
+ *  would leak into the registered ctest names. */
+const std::vector<std::string> kArchitectures = {
     // Single-hash: every (Shielding, Reset) kernel, retaining on/off.
     "sh-R0P0", "sh-R1P0", "sh-R0P1", "sh-R1P1",
     "sh-R0P1-noshield", "sh-R1P0-noshield",
@@ -89,7 +92,7 @@ stream()
     return events;
 }
 
-using BatchedIngestParam = std::tuple<const char *, size_t>;
+using BatchedIngestParam = std::tuple<std::string, size_t>;
 
 class BatchedIngest
     : public ::testing::TestWithParam<BatchedIngestParam>

@@ -25,7 +25,9 @@
 #include "analysis/sweep_distributed.h"
 #include "analysis/sweep_journal.h"
 #include "analysis/sweep_runner.h"
+#include "analysis/sweep_wire.h"
 #include "support/failpoint.h"
+#include "support/wire.h"
 
 namespace mhp {
 namespace {
@@ -284,6 +286,43 @@ TEST(DistributedSweep, WorkerConnectToNothingFailsCleanly)
     EXPECT_FALSE(status.isOk());
     EXPECT_EQ(status.code(), StatusCode::NotFound)
         << status.toString();
+}
+
+TEST(DistributedSweep, LateWorkerAfterLastCellSaysByeAndExitsClean)
+{
+    // A worker accepted after the last cell finished never gets a
+    // Plan: the coordinator's shutdown broadcast reaches it before its
+    // Hello is served, so Shutdown is its first frame. A stand-in
+    // coordinator replays exactly that frame order.
+    const std::string socket = tempPath("late", ".sock");
+    auto listener = WireListener::bind(socket);
+    ASSERT_TRUE(listener.isOk()) << listener.status().toString();
+
+    Status workerStatus;
+    std::thread worker([&] {
+        SweepWorkerOptions options;
+        options.socketPath = socket;
+        options.ioTimeoutMs = 10'000;
+        workerStatus = runSweepWorker(options);
+    });
+
+    WireFrame hello;
+    WireFrame bye;
+    auto conn = listener->accept(10'000);
+    EXPECT_TRUE(conn.isOk()) << conn.status().toString();
+    if (conn.isOk()) {
+        EXPECT_TRUE(conn->recv(hello, 10'000).isOk());
+        EXPECT_TRUE(conn->send(static_cast<uint8_t>(SweepMsg::Shutdown),
+                               ByteBuffer(), 10'000)
+                        .isOk());
+        EXPECT_TRUE(conn->recv(bye, 10'000).isOk());
+    }
+    worker.join();
+    listener->close();
+
+    EXPECT_EQ(hello.type, static_cast<uint8_t>(SweepMsg::Hello));
+    EXPECT_EQ(bye.type, static_cast<uint8_t>(SweepMsg::Bye));
+    EXPECT_TRUE(workerStatus.isOk()) << workerStatus.toString();
 }
 
 TEST(DistributedSweep, CoordinatorWithNoPossibleWorkersIsAnError)

@@ -20,7 +20,7 @@ TEST(EndToEnd, WorkloadThroughBestMultiHash)
 {
     auto workload = makeValueWorkload("li");
     auto profiler = makeProfiler(bestMultiHashConfig(10'000, 0.01));
-    const RunOutput out = runIntervals(*workload, *profiler, 10'000,
+    const RunOutput out = runIntervals(*workload, {profiler.get()}, 10'000,
                                        100, 10);
     ASSERT_EQ(out.intervalsCompleted, 10u);
     // li is well-behaved: the best profiler must be nearly exact.
@@ -40,7 +40,7 @@ TEST(EndToEnd, MiniCpuValueProfiling)
 
     auto profiler = makeProfiler(bestMultiHashConfig(10'000, 0.01));
     const RunOutput out =
-        runIntervals(probe, *profiler, 10'000, 100, 5);
+        runIntervals(probe, {profiler.get()}, 10'000, 100, 5);
     ASSERT_EQ(out.intervalsCompleted, 5u);
     // Generated programs have strong value locality: candidates exist
     // and the profiler catches them accurately.
@@ -60,7 +60,7 @@ TEST(EndToEnd, MiniCpuEdgeProfiling)
 
     auto profiler = makeProfiler(bestMultiHashConfig(10'000, 0.01));
     const RunOutput out =
-        runIntervals(probe, *profiler, 10'000, 100, 5);
+        runIntervals(probe, {profiler.get()}, 10'000, 100, 5);
     ASSERT_EQ(out.intervalsCompleted, 5u);
     EXPECT_GT(out.results[0].meanHardwareCandidates(), 0.0);
     EXPECT_LT(out.results[0].averageErrorPercent(), 10.0);
@@ -126,7 +126,7 @@ TEST(EndToEnd, MixedWorkloadsThroughOneProfiler)
     InterleaveSource mixed({a.get(), b.get()}, {1.0, 1.0}, 99);
     auto profiler = makeProfiler(bestMultiHashConfig(10'000, 0.01));
     const RunOutput out =
-        runIntervals(mixed, *profiler, 10'000, 100, 5);
+        runIntervals(mixed, {profiler.get()}, 10'000, 100, 5);
     ASSERT_EQ(out.intervalsCompleted, 5u);
     // Candidates from both programs can be captured; the profiler
     // does not fall over under the merge.

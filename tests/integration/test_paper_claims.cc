@@ -25,7 +25,7 @@ errorFor(const std::string &bench, const ProfilerConfig &cfg,
     auto workload = makeValueWorkload(bench);
     auto profiler = makeProfiler(cfg);
     const RunOutput out =
-        runIntervals(*workload, *profiler, cfg.intervalLength,
+        runIntervals(*workload, {profiler.get()}, cfg.intervalLength,
                      cfg.thresholdCount(), intervals);
     return out.results[0].averageErrorPercent();
 }
@@ -61,7 +61,7 @@ TEST(PaperClaims, ResettingReducesSingleHashFalsePositives)
         auto workload = makeValueWorkload("gcc");
         auto profiler = makeProfiler(cfg);
         const RunOutput out = runIntervals(
-            *workload, *profiler, 10'000, cfg.thresholdCount(), 8);
+            *workload, {profiler.get()}, 10'000, cfg.thresholdCount(), 8);
         return out.results[0].averageError().falsePositive;
     };
     EXPECT_LT(run(true), run(false));
@@ -77,7 +77,7 @@ TEST(PaperClaims, RetainingReducesSingleHashError)
         auto workload = makeValueWorkload("m88ksim");
         auto profiler = makeProfiler(cfg);
         const RunOutput out = runIntervals(
-            *workload, *profiler, 10'000, cfg.thresholdCount(), 8);
+            *workload, {profiler.get()}, 10'000, cfg.thresholdCount(), 8);
         return out.results[0].averageErrorPercent();
     };
     EXPECT_LE(run(true), run(false) + 0.5);
@@ -93,7 +93,7 @@ TEST(PaperClaims, ConservativeUpdateHelpsMultiHash)
         auto workload = makeValueWorkload("go");
         auto profiler = makeProfiler(cfg);
         const RunOutput out = runIntervals(
-            *workload, *profiler, 10'000, cfg.thresholdCount(), 8);
+            *workload, {profiler.get()}, 10'000, cfg.thresholdCount(), 8);
         return out.results[0].averageError().falsePositive;
     };
     EXPECT_LE(run(true), run(false));
@@ -108,7 +108,7 @@ TEST(PaperClaims, ImmediateResetCausesFalseNegativesInMultiHash)
         auto workload = makeValueWorkload("go");
         auto profiler = makeProfiler(cfg);
         const RunOutput out = runIntervals(
-            *workload, *profiler, 10'000, cfg.thresholdCount(), 8);
+            *workload, {profiler.get()}, 10'000, cfg.thresholdCount(), 8);
         return out.results[0].averageError().falseNegative;
     };
     EXPECT_GE(run(true), run(false));

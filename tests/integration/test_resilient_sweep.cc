@@ -43,6 +43,21 @@ faultPlan()
     return plan;
 }
 
+/** A fault-free, single-threaded sweep: the reference results. */
+std::vector<SweepCellResult>
+plainCells(const SweepRunner &runner)
+{
+    SweepResilienceOptions options;
+    options.threads = 1;
+    options.maxAttempts = 1;
+    StatusOr<SweepReport> report = runner.runResilient(options);
+    EXPECT_TRUE(report.isOk()) << report.status().toString();
+    if (!report.isOk())
+        return {};
+    EXPECT_TRUE(report->quarantined.empty());
+    return std::move(report->results);
+}
+
 class ResilientSweepTest : public ::testing::Test
 {
   protected:
@@ -75,7 +90,7 @@ class ResilientSweepTest : public ::testing::Test
 TEST_F(ResilientSweepTest, FaultFreeReportMatchesPlainRun)
 {
     const SweepRunner runner(faultPlan());
-    const auto plain = runner.run(1);
+    const auto plain = plainCells(runner);
     SweepResilienceOptions options;
     options.threads = 2;
     auto report = runner.runResilient(options);
@@ -89,7 +104,7 @@ TEST_F(ResilientSweepTest, FaultFreeReportMatchesPlainRun)
 TEST_F(ResilientSweepTest, QuarantineSetIsThreadCountInvariant)
 {
     const SweepRunner runner(faultPlan());
-    const auto plain = runner.run(1);
+    const auto plain = plainCells(runner);
 
     // Cells 0 and 2 fail every attempt (key % 2 < 1); 1 and 3
     // survive. The spec decides, never the schedule.
@@ -128,7 +143,7 @@ TEST_F(ResilientSweepTest, QuarantineSetIsThreadCountInvariant)
 TEST_F(ResilientSweepTest, TransientFaultsRecoverThroughRetries)
 {
     const SweepRunner runner(faultPlan());
-    const auto plain = runner.run(1);
+    const auto plain = plainCells(runner);
 
     // Every cell fails its first two attempts, then succeeds: a
     // maxAttempts=3 run ends with zero quarantined cells and the
@@ -148,7 +163,7 @@ TEST_F(ResilientSweepTest, TransientFaultsRecoverThroughRetries)
 TEST_F(ResilientSweepTest, InjectedSlowdownTripsDeadline)
 {
     const SweepRunner runner(faultPlan());
-    const auto plain = runner.run(1);
+    const auto plain = plainCells(runner);
 
     // Cell 1 burns its whole budget per attempt (150 ms): every
     // attempt is DeadlineExceeded and the cell is quarantined. The
@@ -176,7 +191,7 @@ TEST_F(ResilientSweepTest, InjectedSlowdownTripsDeadline)
 TEST_F(ResilientSweepTest, QuarantinedCellsRetriedOnResume)
 {
     const SweepRunner runner(faultPlan());
-    const auto plain = runner.run(1);
+    const auto plain = plainCells(runner);
 
     // First run: cells 0 and 2 quarantined, survivors journaled.
     ASSERT_TRUE(
@@ -203,7 +218,7 @@ TEST_F(ResilientSweepTest, QuarantinedCellsRetriedOnResume)
 TEST_F(ResilientSweepTest, CancelStopsEarlyAndResumeIsBitIdentical)
 {
     const SweepRunner runner(faultPlan());
-    const auto plain = runner.run(1);
+    const auto plain = plainCells(runner);
 
     // Slow every cell enough that the canceller fires mid-sweep,
     // then trip the token from another thread — the in-process

@@ -24,6 +24,24 @@
 namespace mhp {
 namespace {
 
+/**
+ * Every cell of a runResilient() sweep in plan order, journaled to
+ * `checkpoint` when one is named; the call's error otherwise.
+ */
+StatusOr<std::vector<SweepCellResult>>
+sweepCells(const SweepRunner &runner, unsigned threads,
+           const std::string &checkpoint = "")
+{
+    SweepResilienceOptions options;
+    options.threads = threads;
+    options.checkpointPath = checkpoint;
+    StatusOr<SweepReport> report = runner.runResilient(options);
+    if (!report.isOk())
+        return report.status();
+    EXPECT_TRUE(report->quarantined.empty());
+    return std::move(report->results);
+}
+
 SweepPlan
 resumePlan()
 {
@@ -62,8 +80,8 @@ class SweepResumeTest : public ::testing::Test
 TEST_F(SweepResumeTest, FreshCheckpointMatchesPlainRun)
 {
     const SweepRunner runner(resumePlan());
-    const auto plain = runner.run(1);
-    auto checked = runner.runWithCheckpoint(path, 1);
+    const auto plain = *sweepCells(runner, 1);
+    auto checked = sweepCells(runner, 1, path);
     ASSERT_TRUE(checked.isOk()) << checked.status().toString();
     EXPECT_EQ(*checked, plain);
     EXPECT_TRUE(std::filesystem::exists(path));
@@ -72,13 +90,13 @@ TEST_F(SweepResumeTest, FreshCheckpointMatchesPlainRun)
 TEST_F(SweepResumeTest, ResumeFromCompleteJournalRecomputesNothing)
 {
     const SweepRunner runner(resumePlan());
-    auto first = runner.runWithCheckpoint(path, 2);
+    auto first = sweepCells(runner, 2, path);
     ASSERT_TRUE(first.isOk());
 
     // All cells are journaled; the resume must read them back intact
     // (the journal is untouched by a no-op resume).
     const auto sizeBefore = std::filesystem::file_size(path);
-    auto second = runner.runWithCheckpoint(path, 2);
+    auto second = sweepCells(runner, 2, path);
     ASSERT_TRUE(second.isOk()) << second.status().toString();
     EXPECT_EQ(*second, *first);
     EXPECT_EQ(std::filesystem::file_size(path), sizeBefore);
@@ -87,8 +105,8 @@ TEST_F(SweepResumeTest, ResumeFromCompleteJournalRecomputesNothing)
 TEST_F(SweepResumeTest, KilledSweepResumesBitIdentical)
 {
     const SweepRunner runner(resumePlan());
-    const auto plain = runner.run(1);
-    auto full = runner.runWithCheckpoint(path, 1);
+    const auto plain = *sweepCells(runner, 1);
+    auto full = sweepCells(runner, 1, path);
     ASSERT_TRUE(full.isOk());
 
     // Simulate a kill at every possible truncation point: any prefix
@@ -111,7 +129,7 @@ TEST_F(SweepResumeTest, KilledSweepResumesBitIdentical)
             out.write(reinterpret_cast<const char *>(journal.data()),
                       static_cast<std::streamsize>(cut));
         }
-        auto resumed = runner.runWithCheckpoint(path, 2);
+        auto resumed = sweepCells(runner, 2, path);
         ASSERT_TRUE(resumed.isOk())
             << "cut at " << cut << ": " << resumed.status().toString();
         EXPECT_EQ(*resumed, plain) << "cut at " << cut;
@@ -121,7 +139,7 @@ TEST_F(SweepResumeTest, KilledSweepResumesBitIdentical)
 TEST_F(SweepResumeTest, CorruptRecordIsDiscardedAndRecomputed)
 {
     const SweepRunner runner(resumePlan());
-    auto full = runner.runWithCheckpoint(path, 1);
+    auto full = sweepCells(runner, 1, path);
     ASSERT_TRUE(full.isOk());
 
     // Flip a bit in the middle of the journal body: everything from
@@ -137,7 +155,7 @@ TEST_F(SweepResumeTest, CorruptRecordIsDiscardedAndRecomputed)
         f.seekp(static_cast<std::streamoff>(size / 2));
         f.write(&byte, 1);
     }
-    auto resumed = runner.runWithCheckpoint(path, 1);
+    auto resumed = sweepCells(runner, 1, path);
     ASSERT_TRUE(resumed.isOk()) << resumed.status().toString();
     EXPECT_EQ(*resumed, *full);
 }
@@ -145,13 +163,13 @@ TEST_F(SweepResumeTest, CorruptRecordIsDiscardedAndRecomputed)
 TEST_F(SweepResumeTest, ModifiedPlanIsRejected)
 {
     const SweepRunner runner(resumePlan());
-    ASSERT_TRUE(runner.runWithCheckpoint(path, 1).isOk());
+    ASSERT_TRUE(sweepCells(runner, 1, path).isOk());
 
     SweepPlan changed = resumePlan();
     changed.workloadSeed = 6; // different stream -> different results
     const SweepRunner other(changed);
     EXPECT_NE(other.planFingerprint(), runner.planFingerprint());
-    auto resumed = other.runWithCheckpoint(path, 1);
+    auto resumed = sweepCells(other, 1, path);
     ASSERT_FALSE(resumed.isOk());
     EXPECT_EQ(resumed.status().code(), StatusCode::InvalidArgument);
     EXPECT_NE(resumed.status().message().find("different sweep plan"),
@@ -165,7 +183,7 @@ TEST_F(SweepResumeTest, ForeignFileIsRejectedNotClobbered)
         out << "this is the user's important file, not a checkpoint";
     }
     const SweepRunner runner(resumePlan());
-    auto resumed = runner.runWithCheckpoint(path, 1);
+    auto resumed = sweepCells(runner, 1, path);
     ASSERT_FALSE(resumed.isOk());
     EXPECT_EQ(resumed.status().code(), StatusCode::CorruptData);
     // The file must be left exactly as it was.
@@ -263,8 +281,8 @@ class MappedTraceResumeTest : public SweepResumeTest
 TEST_F(MappedTraceResumeTest, KilledMappedSweepResumesBitIdentical)
 {
     const SweepRunner runner(mappedPlan());
-    const auto plain = runner.run(1);
-    auto full = runner.runWithCheckpoint(path, 1);
+    const auto plain = *sweepCells(runner, 1);
+    auto full = sweepCells(runner, 1, path);
     ASSERT_TRUE(full.isOk()) << full.status().toString();
     EXPECT_EQ(*full, plain);
 
@@ -286,7 +304,7 @@ TEST_F(MappedTraceResumeTest, KilledMappedSweepResumesBitIdentical)
             out.write(reinterpret_cast<const char *>(journal.data()),
                       static_cast<std::streamsize>(cut));
         }
-        auto resumed = runner.runWithCheckpoint(path, 2);
+        auto resumed = sweepCells(runner, 2, path);
         ASSERT_TRUE(resumed.isOk())
             << "cut at " << cut << ": " << resumed.status().toString();
         EXPECT_EQ(*resumed, plain) << "cut at " << cut;
@@ -297,7 +315,7 @@ TEST_F(MappedTraceResumeTest, DifferentTraceIsRejected)
 {
     {
         const SweepRunner runner(mappedPlan());
-        ASSERT_TRUE(runner.runWithCheckpoint(path, 1).isOk());
+        ASSERT_TRUE(sweepCells(runner, 1, path).isOk());
     }
 
     // Re-record the trace from a different seed: same path, different
@@ -305,7 +323,7 @@ TEST_F(MappedTraceResumeTest, DifferentTraceIsRejected)
     // so resuming the old checkpoint must be refused.
     recordTrace(tracePath, /*seed=*/6);
     const SweepRunner other(mappedPlan());
-    auto resumed = other.runWithCheckpoint(path, 1);
+    auto resumed = sweepCells(other, 1, path);
     ASSERT_FALSE(resumed.isOk());
     EXPECT_EQ(resumed.status().code(), StatusCode::InvalidArgument);
     EXPECT_NE(resumed.status().message().find("different sweep plan"),

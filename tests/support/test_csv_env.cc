@@ -1,51 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 
-#include "support/csv.h"
 #include "support/env.h"
 
 namespace mhp {
 namespace {
-
-TEST(CsvWriter, WritesHeaderAndRows)
-{
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "mhp_csv_test.csv")
-            .string();
-    {
-        CsvWriter w(path, {"a", "b"});
-        ASSERT_TRUE(w.ok());
-        w.writeRow({"1", "2"});
-        w.writeRow({"x", "y"});
-    }
-    std::ifstream in(path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    EXPECT_EQ(ss.str(), "a,b\n1,2\nx,y\n");
-    std::remove(path.c_str());
-}
-
-TEST(CsvWriter, BadPathIsNotOk)
-{
-    CsvWriter w("/nonexistent-dir/x.csv", {"a"});
-    EXPECT_FALSE(w.ok());
-    w.writeRow({"1"}); // must not crash
-}
-
-TEST(CsvWriterDeathTest, RowWidthMismatchPanics)
-{
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "mhp_csv_test2.csv")
-            .string();
-    CsvWriter w(path, {"a", "b"});
-    EXPECT_DEATH(w.writeRow({"only-one"}), "");
-    std::remove(path.c_str());
-}
 
 TEST(Env, DoubleParsing)
 {

@@ -314,17 +314,21 @@ TEST_P(StreamEquivalence, AllPathsProduceIdenticalRuns)
 
     const auto tuples = writeTrace(GetParam());
 
-    // Path 1 — per-event over an in-memory vector (the reference).
+    // Path 1 — per-event over an in-memory vector (the reference): a
+    // one-event staging cursor, one onEvents() block per tuple.
     auto p1 = makeProfiler(cfg);
     VectorSource vec(tuples, ProfileKind::Value, "vector");
-    const RunOutput perEvent =
-        runIntervals(vec, *p1, kIntervalLength, cfg.thresholdCount(),
-                     kMaxIntervals);
+    EventSourceCursor single(vec, 1);
+    StreamRunOptions perEventOptions;
+    perEventOptions.batchSize = 1;
+    const RunOutput perEvent = runIntervalsStream(
+        single, {p1.get()}, kIntervalLength, cfg.thresholdCount(),
+        kMaxIntervals, perEventOptions);
 
     // Path 2 — batched staging cursor over the same vector.
     auto p2 = makeProfiler(cfg);
     VectorSource vecAgain(tuples, ProfileKind::Value, "vector");
-    const RunOutput batched = runIntervalsBatched(
+    const RunOutput batched = runIntervals(
         vecAgain, {p2.get()}, kIntervalLength, cfg.thresholdCount(),
         kMaxIntervals, kBatch);
 

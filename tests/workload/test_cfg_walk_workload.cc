@@ -106,7 +106,7 @@ TEST(CfgWalk, MultiHashProfilesCorrelatedStreamAccurately)
     // A compact graph, so loop back-edges clear the 1% threshold.
     CfgWalkWorkload w(smallConfig());
     auto profiler = makeProfiler(bestMultiHashConfig(10'000, 0.01));
-    const RunOutput out = runIntervals(w, *profiler, 10'000, 100, 10);
+    const RunOutput out = runIntervals(w, {profiler.get()}, 10'000, 100, 10);
     ASSERT_EQ(out.intervalsCompleted, 10u);
     EXPECT_LT(out.results[0].averageErrorPercent(), 5.0);
     EXPECT_GT(out.results[0].meanHardwareCandidates(), 0.0);

@@ -24,18 +24,6 @@ Two modes:
   meets the bar, and auto-skips when none are registered (the host CPU
   supports no SIMD tier).
 
-  roofline — report how close batched ingest runs to the machine's
-  measured memory wall (the BM_Roofline* STREAM-style probes):
-
-      bench_check.py roofline BENCH.json \
-          [--ingest 'BM_IsaBatchedIngest/mh4/'] \
-          [--bytes-per-event 16] [--peak BM_RooflineRead] \
-          [--allow-invalid]
-
-  Prints one summary line per present ingest tier (event rate x
-  bytes/event as a fraction of the peak series' bytes/second) and
-  skips cleanly when the dump predates the roofline probes.
-
 All modes read `items_per_second` (falling back to inverse cpu_time)
 and prefer `_median` aggregate rows when the run used repetitions, so
 one noisy repetition cannot flip a verdict. Dumps whose context says
@@ -193,41 +181,6 @@ def cmd_speedup(args):
     return 0 if verdict == "PASS" else 1
 
 
-def cmd_roofline(args):
-    data = series(load(args.bench, args.allow_invalid))
-    peak = data.get(args.peak)
-    if peak is None or peak <= 0.0:
-        print(
-            "bench_check: peak series %r absent — dump predates the"
-            " roofline probes; skipping roofline report" % args.peak
-        )
-        return 0
-    tiers = sorted(
-        n for n in data if n.startswith(args.ingest) and "_" not in
-        n[len(args.ingest):]
-    )
-    if not tiers:
-        print(
-            "bench_check: no ingest series matching %r — skipping"
-            " roofline report" % args.ingest
-        )
-        return 0
-    print(
-        "bench_check: memory wall (%s) = %.3g GB/s"
-        % (args.peak, peak / 1e9)
-    )
-    for name in tiers:
-        events = data[name]
-        demand = events * args.bytes_per_event
-        print(
-            "bench_check: roofline: %s = %.4g events/s x %d B/event ="
-            " %.3g GB/s -> %.1f%% of the memory wall"
-            % (name, events, args.bytes_per_event, demand / 1e9,
-               100.0 * demand / peak)
-        )
-    return 0
-
-
 def main(argv):
     ap = argparse.ArgumentParser(prog="bench_check.py", description=__doc__)
     sub = ap.add_subparsers(dest="mode", required=True)
@@ -253,19 +206,6 @@ def main(argv):
     s.add_argument("--min-speedup", type=float, default=2.5)
     s.add_argument("--allow-invalid", action="store_true")
     s.set_defaults(func=cmd_speedup)
-
-    r = sub.add_parser(
-        "roofline",
-        help="report ingest bandwidth as a fraction of the memory wall")
-    r.add_argument("bench")
-    r.add_argument("--ingest", default="BM_IsaBatchedIngest/mh4/",
-                   help="ingest series name prefix (per-tier suffixes)")
-    r.add_argument("--bytes-per-event", type=int, default=16,
-                   help="streamed bytes per event (a Tuple is 16 B)")
-    r.add_argument("--peak", default="BM_RooflineRead",
-                   help="peak-bandwidth series to divide by")
-    r.add_argument("--allow-invalid", action="store_true")
-    r.set_defaults(func=cmd_roofline)
 
     args = ap.parse_args(argv)
     return args.func(args)

@@ -298,7 +298,7 @@ main(int argc, char **argv)
                "seed for probabilistic failpoints and retry jitter");
     cli.addString("isa", "",
                   "pin the ingest-kernel ISA tier "
-                  "(scalar|sse42|avx2|neon; default: auto-detect)");
+                  "(scalar|sse42|avx2|avx512|neon; default: auto-detect)");
     cli.parse(argc, argv);
 
     if (const std::string isa = cli.getString("isa"); !isa.empty()) {
@@ -306,7 +306,7 @@ main(int argc, char **argv)
         if (!tier) {
             std::fprintf(stderr,
                          "mhprof_run: --isa=%s not recognized "
-                         "(scalar|sse42|avx2|neon)\n",
+                         "(scalar|sse42|avx2|avx512|neon)\n",
                          isa.c_str());
             return 1;
         }
