@@ -399,8 +399,7 @@ BM_IsaHashBlock(benchmark::State &state, IsaTier tier)
     for (auto _ : state) {
         const size_t n = std::min(kBlock, tuples.size() - pos);
         kern->hashBlock(hasher.tableWords(), hasher.indexBits(),
-                        tuples.data() + pos, nullptr, n, out.data(), 1,
-                        0);
+                        tuples.data() + pos, n, out.data());
         benchmark::DoNotOptimize(out.data());
         pos += n;
         if (pos == tuples.size())
@@ -415,8 +414,7 @@ void
 registerIsaTierBenches()
 {
     const IsaTier tiers[] = {IsaTier::Scalar, IsaTier::Sse42,
-                             IsaTier::Avx2, IsaTier::Neon,
-                             IsaTier::Avx512};
+                             IsaTier::Avx2, IsaTier::Avx512};
     for (const IsaTier tier : tiers) {
         if (ingestKernelsFor(tier) == nullptr)
             continue;

@@ -132,12 +132,6 @@ AccumulatorTable::indexRebuild()
 }
 
 bool
-AccumulatorTable::incrementIfPresent(const Tuple &t)
-{
-    return incrementIfPresentHot(t);
-}
-
-bool
 AccumulatorTable::contains(const Tuple &t) const
 {
     return findLane(t) != kNoLane;

@@ -53,29 +53,6 @@ class AccumulatorTable
     AccumulatorTable(uint64_t capacity, uint64_t thresholdCount,
                      bool retaining);
 
-    /**
-     * If the tuple has an entry, bump its counter and return true
-     * (the caller then skips the hash tables — shielding). Crossing
-     * the threshold re-pins a retained replaceable entry.
-     */
-    bool incrementIfPresent(const Tuple &t);
-
-    /**
-     * Header-inline body of incrementIfPresent() for batched ingest
-     * loops (same pattern as TupleHasher::indexHot): bit-identical
-     * behaviour, but onEvents() kernels fold the lookup into their
-     * inner loop while the per-event path keeps its out-of-line call.
-     */
-    bool
-    incrementIfPresentHot(const Tuple &t)
-    {
-        const uint32_t slot = probeSlot(t);
-        if (slot == kNoSlot)
-            return false;
-        incrementSlotHot(slot);
-        return true;
-    }
-
     /** probeSlot() result when the tuple has no entry. */
     static constexpr uint32_t kNoSlot = UINT32_MAX;
 
@@ -97,7 +74,7 @@ class AccumulatorTable
      * probeSlot() with the tuple's TupleHash precomputed — batched
      * kernels hash a whole block in one SIMD pass (the tupleHashBlock
      * ingest kernel) and probe via the accumProbeBlock kernel; this
-     * scalar form is the per-event path and the kernels' reference.
+     * scalar form backs probeSlot() and is the kernels' reference.
      * `hash` must equal TupleHash{}(t).
      */
     uint32_t

@@ -9,8 +9,8 @@ namespace mhp {
 namespace {
 
 /**
- * The loop-form randomize (RandomTable::randomize) over a raw
- * 256-word table — the per-event reference path; the unrolled
+ * The loop form of kernel_ref::randomize over a raw 256-word table —
+ * the reference path behind signature()/index(); the unrolled
  * kernel_ref::randomize used by indexHot() is bit-identical.
  */
 uint64_t

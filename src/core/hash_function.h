@@ -79,10 +79,10 @@ class TupleHasher
     uint64_t signature(const Tuple &t) const;
 
     /**
-     * Header-inline index computation for batched ingest loops.
-     * Bit-identical to index(); kept separate so the per-event path
-     * retains its out-of-line call while onEvents() kernels fold the
-     * whole randomize/flip/fold pipeline into their inner loops.
+     * Header-inline index computation for ingest loops.
+     * Bit-identical to index(); kept separate so index() stays the
+     * out-of-line loop-form reference while onEvents() kernels fold
+     * the whole randomize/flip/fold pipeline into their inner loops.
      */
     uint64_t
     indexHot(const Tuple &t) const

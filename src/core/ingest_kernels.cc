@@ -19,8 +19,6 @@ ingestKernelsFor(IsaTier tier)
         return ingestKernelsAvx2();
       case IsaTier::Avx512:
         return ingestKernelsAvx512();
-      case IsaTier::Neon:
-        return ingestKernelsNeon();
     }
     return nullptr;
 }

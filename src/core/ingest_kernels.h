@@ -10,8 +10,13 @@
  * definitions the kernels must match live in ingest_kernels_ref.h and
  * mirror TupleHasher::indexHot() / TupleHash / the saturating counter
  * update loops exactly; tests/core/test_ingest_kernels.cc asserts the
- * match per tier, and the ctest MHP_FORCE_ISA matrix re-asserts the
- * profiler-level onEvents == onEvent contract on top.
+ * match per tier, and the ctest MHP_FORCE_ISA matrix re-runs the
+ * profiler-level reference-model suites (onEvents at several block
+ * sizes against straight-line per-event specs) under each tier.
+ *
+ * Every hash entry is sequential (no position lists or output
+ * strides): the probe kernel already emits absent tuples densely
+ * compacted, so no caller needs a gather form.
  *
  * Layout contracts (what makes the kernels gather-friendly):
  *  - Hash tables: one hasher = 512 contiguous 64-bit words, the PC
@@ -111,34 +116,30 @@ struct IngestKernels
     IsaTier tier;
 
     /**
-     * Hash a block of tuples through one hasher.
-     *
-     * For j in [0, m): let k = pos ? pos[j] : j; then
-     *   out[k * stride] = index(block[k]) + addend
+     * Hash a block of tuples through one hasher: for j in [0, m),
+     *   out[j] = index(block[j])
      * where index() is TupleHasher::indexHot() over `tables` (the
-     * 512-word pc||value block) folded to `bits`. `addend` lets
-     * multi-hash callers bake the structure-of-arrays table offset
-     * into the produced indexes; `pos` lets shielded callers hash
-     * only the accumulator-absent positions of a block.
+     * 512-word pc||value block) folded to `bits`. Shielded callers
+     * pass the probe kernel's densely compacted absent tuples, so
+     * loads and stores are always sequential.
      */
     void (*hashBlock)(const uint64_t *tables, unsigned bits,
-                      const Tuple *block, const uint32_t *pos, size_t m,
-                      uint32_t *out, uint32_t stride, uint32_t addend);
+                      const Tuple *block, size_t m, uint32_t *out);
 
     /**
      * Hash a block of tuples through numTables packed hashers in one
-     * fused pass — the multi-hash phase-2 workhorse. For j in [0, m):
-     * let k = pos ? pos[j] : j; then for i in [0, numTables):
-     *   out[k * numTables + i] =
-     *       index(tables + i*512, block[k]) + i * addendStride
-     * Equivalent to numTables hashBlock() calls with stride=numTables
-     * and addend=i*addendStride, but the tuple block is loaded, split
-     * into lanes, and byte-decomposed once instead of once per table.
+     * fused pass — the multi-hash phase-2 workhorse. For j in [0, m)
+     * and i in [0, numTables):
+     *   out[j * numTables + i] =
+     *       index(tables + i*512, block[j]) + i * addendStride
+     * `addendStride` bakes the counter bank's structure-of-arrays
+     * table offset into the produced indexes. The tuple block is
+     * loaded, split into lanes, and byte-decomposed once instead of
+     * once per table.
      */
     void (*hashBlockMulti)(const uint64_t *tables, unsigned numTables,
-                           unsigned bits, const Tuple *block,
-                           const uint32_t *pos, size_t m, uint32_t *out,
-                           uint32_t addendStride);
+                           unsigned bits, const Tuple *block, size_t m,
+                           uint32_t *out, uint32_t addendStride);
 
     /**
      * Unfolded hash signatures for a block of tuples:

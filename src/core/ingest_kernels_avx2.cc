@@ -41,7 +41,7 @@ rotl4(__m256i v)
                            _mm256_srli_epi64(v, 64 - R));
 }
 
-/** One randomizeHot round: lookup byte I of v, rotate, accumulate.
+/** One kernel_ref::randomize round: lookup byte I of v, rotate, accumulate.
  *  The byte index is extracted per round rather than hoisted: eight
  *  live byte vectors per input would exhaust the 16-register ymm file
  *  and spill around every gather. */
@@ -55,7 +55,7 @@ randRound(const long long *tb, __m256i v, __m256i byteMask, __m256i r)
     return _mm256_xor_si256(r, rotl4<8 * I>(word));
 }
 
-/** RandomTable::randomizeHot on four lanes. */
+/** kernel_ref::randomize on four lanes. */
 inline __m256i
 randomize4(const uint64_t *table, __m256i v)
 {
@@ -158,119 +158,58 @@ loadTuples4(const Tuple *p, __m256i &pc, __m256i &val)
     val = _mm256_permute2x128_si256(pa, pb, 0x31);
 }
 
-/** Same, but for four tuples picked out by a position list. */
-inline void
-loadTuples4At(const Tuple *block, const uint32_t *pos, __m256i &pc,
-              __m256i &val)
-{
-    const __m128i t0 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(block + pos[0]));
-    const __m128i t1 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(block + pos[1]));
-    const __m128i t2 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(block + pos[2]));
-    const __m128i t3 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(block + pos[3]));
-    const __m256i a = _mm256_set_m128i(t1, t0);
-    const __m256i b = _mm256_set_m128i(t3, t2);
-    const __m256i pa = _mm256_permute4x64_epi64(a, _MM_SHUFFLE(3, 1, 2, 0));
-    const __m256i pb = _mm256_permute4x64_epi64(b, _MM_SHUFFLE(3, 1, 2, 0));
-    pc = _mm256_permute2x128_si256(pa, pb, 0x20);
-    val = _mm256_permute2x128_si256(pa, pb, 0x31);
-}
-
 void
 hashBlockAvx2(const uint64_t *tables, unsigned bits, const Tuple *block,
-              const uint32_t *pos, size_t m, uint32_t *out,
-              uint32_t stride, uint32_t addend)
+              size_t m, uint32_t *out)
 {
-    const __m256i add =
-        _mm256_set1_epi64x(static_cast<long long>(addend));
     size_t j = 0;
     for (; j + 4 <= m; j += 4) {
         __m256i pc, val;
-        size_t k0, k1, k2, k3;
-        if (pos != nullptr) {
-            k0 = pos[j];
-            k1 = pos[j + 1];
-            k2 = pos[j + 2];
-            k3 = pos[j + 3];
-            loadTuples4At(block, pos + j, pc, val);
-        } else {
-            k0 = j;
-            k1 = j + 1;
-            k2 = j + 2;
-            k3 = j + 3;
-            loadTuples4(block + j, pc, val);
-        }
-        const __m256i idx = _mm256_add_epi64(
-            fold4(signature4(tables, pc, val), bits), add);
-        out[k0 * stride] =
-            static_cast<uint32_t>(_mm256_extract_epi64(idx, 0));
-        out[k1 * stride] =
-            static_cast<uint32_t>(_mm256_extract_epi64(idx, 1));
-        out[k2 * stride] =
-            static_cast<uint32_t>(_mm256_extract_epi64(idx, 2));
-        out[k3 * stride] =
-            static_cast<uint32_t>(_mm256_extract_epi64(idx, 3));
+        loadTuples4(block + j, pc, val);
+        const __m256i idx = fold4(signature4(tables, pc, val), bits);
+        out[j] = static_cast<uint32_t>(_mm256_extract_epi64(idx, 0));
+        out[j + 1] = static_cast<uint32_t>(_mm256_extract_epi64(idx, 1));
+        out[j + 2] = static_cast<uint32_t>(_mm256_extract_epi64(idx, 2));
+        out[j + 3] = static_cast<uint32_t>(_mm256_extract_epi64(idx, 3));
     }
-    for (; j < m; ++j) {
-        const size_t k = pos != nullptr ? pos[j] : j;
-        out[k * stride] =
-            static_cast<uint32_t>(kernel_ref::index(tables, bits,
-                                                    block[k])) +
-            addend;
-    }
+    for (; j < m; ++j)
+        out[j] = static_cast<uint32_t>(
+            kernel_ref::index(tables, bits, block[j]));
 }
 
 void
 hashBlockMultiAvx2(const uint64_t *tables, unsigned numTables,
-                   unsigned bits, const Tuple *block,
-                   const uint32_t *pos, size_t m, uint32_t *out,
-                   uint32_t addendStride)
+                   unsigned bits, const Tuple *block, size_t m,
+                   uint32_t *out, uint32_t addendStride)
 {
     size_t j = 0;
     for (; j + 4 <= m; j += 4) {
         __m256i pc, val;
-        size_t k0, k1, k2, k3;
-        if (pos != nullptr) {
-            k0 = pos[j];
-            k1 = pos[j + 1];
-            k2 = pos[j + 2];
-            k3 = pos[j + 3];
-            loadTuples4At(block, pos + j, pc, val);
-        } else {
-            k0 = j;
-            k1 = j + 1;
-            k2 = j + 2;
-            k3 = j + 3;
-            loadTuples4(block + j, pc, val);
-        }
+        loadTuples4(block + j, pc, val);
         // The tuple load and lane split happen once; only the per-
         // table work (gathers from a different base, fold) repeats.
         // Two live vectors (pc, val) across the table loop keep the
         // register pressure identical to the single-table kernel.
+        uint32_t *const row = out + j * numTables;
         for (unsigned i = 0; i < numTables; ++i) {
             const uint64_t *tb = tables + i * kernel_ref::kTableWords;
             const __m256i add = _mm256_set1_epi64x(
                 static_cast<long long>(i * addendStride));
             const __m256i idx = _mm256_add_epi64(
                 fold4(signature4(tb, pc, val), bits), add);
-            out[k0 * numTables + i] =
+            row[i] =
                 static_cast<uint32_t>(_mm256_extract_epi64(idx, 0));
-            out[k1 * numTables + i] =
+            row[numTables + i] =
                 static_cast<uint32_t>(_mm256_extract_epi64(idx, 1));
-            out[k2 * numTables + i] =
+            row[2 * numTables + i] =
                 static_cast<uint32_t>(_mm256_extract_epi64(idx, 2));
-            out[k3 * numTables + i] =
+            row[3 * numTables + i] =
                 static_cast<uint32_t>(_mm256_extract_epi64(idx, 3));
         }
     }
-    for (; j < m; ++j) {
-        const size_t k = pos != nullptr ? pos[j] : j;
-        kernel_ref::indexMulti(tables, numTables, bits, block[k],
-                               addendStride, out + k * numTables);
-    }
+    for (; j < m; ++j)
+        kernel_ref::indexMulti(tables, numTables, bits, block[j],
+                               addendStride, out + j * numTables);
 }
 
 void

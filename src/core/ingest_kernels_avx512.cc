@@ -46,22 +46,7 @@ loadTuples8(const Tuple *p, __m512i &pc, __m512i &val)
     val = _mm512_permutex2var_epi64(a, vidx, b);
 }
 
-/** Same, but for eight tuples picked out by a position list: the pc
- *  and value words gather straight from the block. */
-inline void
-loadTuples8At(const Tuple *block, const uint32_t *pos, __m512i &pc,
-              __m512i &val)
-{
-    const __m256i p = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(pos));
-    const __m256i two = _mm256_slli_epi32(p, 1);
-    const long long *base = reinterpret_cast<const long long *>(block);
-    pc = _mm512_i32gather_epi64(two, base, 8);
-    val = _mm512_i32gather_epi64(
-        _mm256_add_epi32(two, _mm256_set1_epi32(1)), base, 8);
-}
-
-/** One randomizeHot round: lookup byte I of v, rotate, accumulate. */
+/** One kernel_ref::randomize round: lookup byte I of v, rotate, accumulate. */
 template <int I>
 inline __m512i
 randRound8(const long long *tb, __m512i v, __m512i byteMask, __m512i r)
@@ -72,7 +57,7 @@ randRound8(const long long *tb, __m512i v, __m512i byteMask, __m512i r)
     return _mm512_xor_si512(r, _mm512_rol_epi64(word, (8 * I) & 63));
 }
 
-/** RandomTable::randomizeHot on eight lanes. */
+/** kernel_ref::randomize on eight lanes. */
 inline __m512i
 randomize8(const uint64_t *table, __m512i v)
 {
@@ -162,52 +147,35 @@ fold8(__m512i sig, unsigned bits)
 
 void
 hashBlockAvx512(const uint64_t *tables, unsigned bits,
-                const Tuple *block, const uint32_t *pos, size_t m,
-                uint32_t *out, uint32_t stride, uint32_t addend)
+                const Tuple *block, size_t m, uint32_t *out)
 {
-    const __m512i add =
-        _mm512_set1_epi64(static_cast<long long>(addend));
     size_t j = 0;
     for (; j + 8 <= m; j += 8) {
         __m512i pc, val;
-        if (pos != nullptr)
-            loadTuples8At(block, pos + j, pc, val);
-        else
-            loadTuples8(block + j, pc, val);
-        const __m512i idx = _mm512_add_epi64(
-            fold8(signature8(tables, pc, val), bits), add);
-        alignas(64) uint64_t lane[8];
-        _mm512_store_si512(lane, idx);
-        for (unsigned l = 0; l < 8; ++l) {
-            const size_t k = pos != nullptr ? pos[j + l] : j + l;
-            out[k * stride] = static_cast<uint32_t>(lane[l]);
-        }
+        loadTuples8(block + j, pc, val);
+        const __m512i idx = fold8(signature8(tables, pc, val), bits);
+        // Truncating narrow: lane l's low 32 bits land in out[j + l].
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + j),
+                            _mm512_cvtepi64_epi32(idx));
     }
-    for (; j < m; ++j) {
-        const size_t k = pos != nullptr ? pos[j] : j;
-        out[k * stride] =
-            static_cast<uint32_t>(kernel_ref::index(tables, bits,
-                                                    block[k])) +
-            addend;
-    }
+    for (; j < m; ++j)
+        out[j] = static_cast<uint32_t>(
+            kernel_ref::index(tables, bits, block[j]));
 }
 
 void
 hashBlockMultiAvx512(const uint64_t *tables, unsigned numTables,
-                     unsigned bits, const Tuple *block,
-                     const uint32_t *pos, size_t m, uint32_t *out,
-                     uint32_t addendStride)
+                     unsigned bits, const Tuple *block, size_t m,
+                     uint32_t *out, uint32_t addendStride)
 {
     size_t j = 0;
     for (; j + 8 <= m; j += 8) {
         __m512i pc, val;
-        if (pos != nullptr)
-            loadTuples8At(block, pos + j, pc, val);
-        else
-            loadTuples8(block + j, pc, val);
+        loadTuples8(block + j, pc, val);
         // Tuple load and lane split happen once; only the per-table
         // gathers and fold repeat, with pc/val the only long-lived
         // vectors across the table loop.
+        uint32_t *const row = out + j * numTables;
         for (unsigned i = 0; i < numTables; ++i) {
             const uint64_t *tb = tables + i * kernel_ref::kTableWords;
             const __m512i idx = _mm512_add_epi64(
@@ -216,18 +184,13 @@ hashBlockMultiAvx512(const uint64_t *tables, unsigned numTables,
                     static_cast<long long>(i * addendStride)));
             alignas(64) uint64_t lane[8];
             _mm512_store_si512(lane, idx);
-            for (unsigned l = 0; l < 8; ++l) {
-                const size_t k = pos != nullptr ? pos[j + l] : j + l;
-                out[k * numTables + i] =
-                    static_cast<uint32_t>(lane[l]);
-            }
+            for (unsigned l = 0; l < 8; ++l)
+                row[l * numTables + i] = static_cast<uint32_t>(lane[l]);
         }
     }
-    for (; j < m; ++j) {
-        const size_t k = pos != nullptr ? pos[j] : j;
-        kernel_ref::indexMulti(tables, numTables, bits, block[k],
-                               addendStride, out + k * numTables);
-    }
+    for (; j < m; ++j)
+        kernel_ref::indexMulti(tables, numTables, bits, block[j],
+                               addendStride, out + j * numTables);
 }
 
 void

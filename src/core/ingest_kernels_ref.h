@@ -3,7 +3,7 @@
  * Scalar reference bodies for the batched-ingest kernels — the single
  * source of truth every SIMD tier must match bit for bit.
  *
- * The hash helpers restate TupleHasher::indexHot() (randomizeHot →
+ * The hash helpers restate TupleHasher::indexHot() (randomize →
  * byteFlip → xorFoldHot) over a raw 512-word table block; the counter
  * helpers restate the saturating-update loops of the profilers'
  * ingestBatch() state machines. The scalar kernel table uses these
@@ -25,7 +25,11 @@
 namespace mhp {
 namespace kernel_ref {
 
-/** RandomTable::randomizeHot over a raw 256-word table. */
+/**
+ * The paper's randomize (Section 5.3) over a raw 256-word table:
+ * every byte of v is substituted through the table, rotated by its
+ * byte position, and xor-composed.
+ */
 inline uint64_t
 randomize(const uint64_t *tb, uint64_t v)
 {

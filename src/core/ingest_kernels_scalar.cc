@@ -13,29 +13,21 @@ namespace {
 
 void
 hashBlockScalar(const uint64_t *tables, unsigned bits,
-                const Tuple *block, const uint32_t *pos, size_t m,
-                uint32_t *out, uint32_t stride, uint32_t addend)
+                const Tuple *block, size_t m, uint32_t *out)
 {
-    for (size_t j = 0; j < m; ++j) {
-        const size_t k = pos != nullptr ? pos[j] : j;
-        out[k * stride] =
-            static_cast<uint32_t>(kernel_ref::index(tables, bits,
-                                                    block[k])) +
-            addend;
-    }
+    for (size_t j = 0; j < m; ++j)
+        out[j] = static_cast<uint32_t>(
+            kernel_ref::index(tables, bits, block[j]));
 }
 
 void
 hashBlockMultiScalar(const uint64_t *tables, unsigned numTables,
-                     unsigned bits, const Tuple *block,
-                     const uint32_t *pos, size_t m, uint32_t *out,
-                     uint32_t addendStride)
+                     unsigned bits, const Tuple *block, size_t m,
+                     uint32_t *out, uint32_t addendStride)
 {
-    for (size_t j = 0; j < m; ++j) {
-        const size_t k = pos != nullptr ? pos[j] : j;
-        kernel_ref::indexMulti(tables, numTables, bits, block[k],
-                               addendStride, out + k * numTables);
-    }
+    for (size_t j = 0; j < m; ++j)
+        kernel_ref::indexMulti(tables, numTables, bits, block[j],
+                               addendStride, out + j * numTables);
 }
 
 void

@@ -37,7 +37,7 @@ rotl2(__m128i v)
     return _mm_or_si128(_mm_slli_epi64(v, R), _mm_srli_epi64(v, 64 - R));
 }
 
-/** One randomizeHot round for byte position I of two inputs. */
+/** One kernel_ref::randomize round for byte position I of two inputs. */
 template <int I>
 inline __m128i
 randRound(const uint64_t *tb, uint64_t v0, uint64_t v1, __m128i r)
@@ -48,7 +48,7 @@ randRound(const uint64_t *tb, uint64_t v0, uint64_t v1, __m128i r)
     return _mm_xor_si128(r, rotl2<8 * I>(word));
 }
 
-/** RandomTable::randomizeHot on two lanes. */
+/** kernel_ref::randomize on two lanes. */
 inline __m128i
 randomize2(const uint64_t *tb, uint64_t v0, uint64_t v1)
 {
@@ -136,29 +136,18 @@ fold2(__m128i sig, unsigned bits)
 
 void
 hashBlockSse42(const uint64_t *tables, unsigned bits,
-               const Tuple *block, const uint32_t *pos, size_t m,
-               uint32_t *out, uint32_t stride, uint32_t addend)
+               const Tuple *block, size_t m, uint32_t *out)
 {
-    const __m128i add =
-        _mm_set1_epi64x(static_cast<long long>(addend));
     size_t j = 0;
     for (; j + 2 <= m; j += 2) {
-        const size_t k0 = pos != nullptr ? pos[j] : j;
-        const size_t k1 = pos != nullptr ? pos[j + 1] : j + 1;
-        const __m128i idx = _mm_add_epi64(
-            fold2(signature2(tables, block[k0], block[k1]), bits), add);
-        out[k0 * stride] =
-            static_cast<uint32_t>(_mm_extract_epi64(idx, 0));
-        out[k1 * stride] =
-            static_cast<uint32_t>(_mm_extract_epi64(idx, 1));
+        const __m128i idx =
+            fold2(signature2(tables, block[j], block[j + 1]), bits);
+        out[j] = static_cast<uint32_t>(_mm_extract_epi64(idx, 0));
+        out[j + 1] = static_cast<uint32_t>(_mm_extract_epi64(idx, 1));
     }
-    for (; j < m; ++j) {
-        const size_t k = pos != nullptr ? pos[j] : j;
-        out[k * stride] =
-            static_cast<uint32_t>(kernel_ref::index(tables, bits,
-                                                    block[k])) +
-            addend;
-    }
+    for (; j < m; ++j)
+        out[j] = static_cast<uint32_t>(
+            kernel_ref::index(tables, bits, block[j]));
 }
 
 /**
@@ -182,7 +171,7 @@ byteIndexes2(uint64_t v0, uint64_t v1)
     return out;
 }
 
-/** One randomizeHot round from precomputed byte offsets. */
+/** One kernel_ref::randomize round from precomputed byte offsets. */
 template <int I>
 inline __m128i
 randRoundPre(const uint64_t *tb, const ByteIndexes2 &b, __m128i r)
@@ -193,7 +182,7 @@ randRoundPre(const uint64_t *tb, const ByteIndexes2 &b, __m128i r)
     return _mm_xor_si128(r, rotl2<8 * I>(word));
 }
 
-/** RandomTable::randomizeHot on two lanes of precomputed bytes. */
+/** kernel_ref::randomize on two lanes of precomputed bytes. */
 inline __m128i
 randomize2Pre(const uint64_t *tb, const ByteIndexes2 &b)
 {
@@ -211,16 +200,13 @@ randomize2Pre(const uint64_t *tb, const ByteIndexes2 &b)
 
 void
 hashBlockMultiSse42(const uint64_t *tables, unsigned numTables,
-                    unsigned bits, const Tuple *block,
-                    const uint32_t *pos, size_t m, uint32_t *out,
-                    uint32_t addendStride)
+                    unsigned bits, const Tuple *block, size_t m,
+                    uint32_t *out, uint32_t addendStride)
 {
     size_t j = 0;
     for (; j + 2 <= m; j += 2) {
-        const size_t k0 = pos != nullptr ? pos[j] : j;
-        const size_t k1 = pos != nullptr ? pos[j + 1] : j + 1;
-        const Tuple &t0 = block[k0];
-        const Tuple &t1 = block[k1];
+        const Tuple &t0 = block[j];
+        const Tuple &t1 = block[j + 1];
         const ByteIndexes2 pcBytes = byteIndexes2(t0.first, t1.first);
         const ByteIndexes2 valBytes =
             byteIndexes2(t0.second, t1.second);
@@ -233,17 +219,15 @@ hashBlockMultiSse42(const uint64_t *tables, unsigned numTables,
                 static_cast<long long>(i * addendStride));
             const __m128i idx = _mm_add_epi64(
                 fold2(_mm_xor_si128(npc, nv), bits), add);
-            out[k0 * numTables + i] =
+            out[j * numTables + i] =
                 static_cast<uint32_t>(_mm_extract_epi64(idx, 0));
-            out[k1 * numTables + i] =
+            out[(j + 1) * numTables + i] =
                 static_cast<uint32_t>(_mm_extract_epi64(idx, 1));
         }
     }
-    for (; j < m; ++j) {
-        const size_t k = pos != nullptr ? pos[j] : j;
-        kernel_ref::indexMulti(tables, numTables, bits, block[k],
-                               addendStride, out + k * numTables);
-    }
+    for (; j < m; ++j)
+        kernel_ref::indexMulti(tables, numTables, bits, block[j],
+                               addendStride, out + j * numTables);
 }
 
 void

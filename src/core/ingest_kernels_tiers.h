@@ -3,7 +3,7 @@
  * Internal: per-tier kernel-table factories, one per translation unit
  * so each can be compiled with its own ISA flags (see
  * src/core/CMakeLists.txt). A tier that is compiled out of the binary
- * (wrong architecture, or the compiler flag was unavailable) returns
+ * (not an x86 build, or the compiler flag was unavailable) returns
  * nullptr and the dispatcher falls through to the next tier down.
  */
 
@@ -18,7 +18,6 @@ const IngestKernels *ingestKernelsScalar();
 const IngestKernels *ingestKernelsSse42();
 const IngestKernels *ingestKernelsAvx2();
 const IngestKernels *ingestKernelsAvx512();
-const IngestKernels *ingestKernelsNeon();
 
 } // namespace mhp
 

@@ -30,7 +30,6 @@ MultiHashProfiler::MultiHashProfiler(const ProfilerConfig &config_)
                             config.counterBits);
     }
     kernels = &ingestKernels();
-    indexScratch.resize(config.numHashTables);
     blockIndexScratch.resize(kIngestBlock * config.numHashTables);
     blockSlotScratch.resize(kIngestBlock);
     blockAbsentScratch.resize(kIngestBlock);
@@ -40,61 +39,24 @@ MultiHashProfiler::MultiHashProfiler(const ProfilerConfig &config_)
     repairIndexScratch.resize(config.numHashTables);
 }
 
-void
-MultiHashProfiler::onEvent(const Tuple &t)
-{
-    if (accumulator.incrementIfPresent(t)) {
-        if (!config.shielding) {
-            // Ablation only: keep pressuring the hash tables.
-            for (unsigned i = 0; i < tables.size(); ++i)
-                tables[i].increment(hashers.function(i).index(t));
-        }
-        return;
-    }
-
-    const unsigned n = tables.size();
-    for (unsigned i = 0; i < n; ++i)
-        indexScratch[i] = hashers.function(i).index(t);
-
-    if (config.conservativeUpdate) {
-        // Increment only the counter(s) at the current minimum; ties
-        // all advance so the minimum strictly increases.
-        uint64_t minVal = ~0ULL;
-        for (unsigned i = 0; i < n; ++i)
-            minVal = std::min(minVal, tables[i].value(indexScratch[i]));
-        for (unsigned i = 0; i < n; ++i) {
-            if (tables[i].value(indexScratch[i]) == minVal)
-                tables[i].increment(indexScratch[i]);
-        }
-    } else {
-        for (unsigned i = 0; i < n; ++i)
-            tables[i].increment(indexScratch[i]);
-    }
-
-    // Promotion requires every table's counter to be at threshold.
-    uint64_t newMin = ~0ULL;
-    for (unsigned i = 0; i < n; ++i)
-        newMin = std::min(newMin, tables[i].value(indexScratch[i]));
-    if (newMin >= thresholdCount) {
-        if (accumulator.insert(t, newMin) && config.resetOnPromote) {
-            for (unsigned i = 0; i < n; ++i)
-                tables[i].reset(indexScratch[i]);
-        }
-    }
-}
-
 template <bool Conservative, bool Reset, bool Shielding>
 void
 MultiHashProfiler::ingestBatch(const Tuple *events, size_t count)
 {
-    // Mirrors onEvent() exactly, with the config branches resolved at
-    // compile time, the hash pipeline and counter updates vectorized
-    // (the active ISA tier's ingest kernels), and the counter bank
-    // accessed through one base pointer. Events are processed in
-    // blocks of kIngestBlock: all hash indexes for a block are
-    // computed first (a pure function of each tuple, so hoisting them
-    // is invisible), then the event state machine replays in stream
-    // order.
+    // The profiler's one ingest path (onEvent() is a one-event
+    // block), with the config branches resolved at compile time, the
+    // hash pipeline and counter updates vectorized (the active ISA
+    // tier's ingest kernels), and the counter bank accessed through
+    // one base pointer. Per event, the state machine is: shield check
+    // in the accumulator; on a miss, bump the tuple's n saturating
+    // counters (under C1 only those at the current minimum, ties all
+    // advancing) and promote it once the minimum reaches the
+    // threshold (zeroing its n counters under R1). Without shielding
+    // (ablation), accumulator hits also bump all n counters. Events
+    // are processed in blocks of kIngestBlock: all hash indexes for a
+    // block are computed first (a pure function of each tuple, so
+    // hoisting them is invisible), then the event state machine
+    // replays in stream order.
     const IngestKernels &kern = *kernels;
     const unsigned n = static_cast<unsigned>(tables.size());
     uint64_t *const bank = counterBank.data();
@@ -147,10 +109,10 @@ MultiHashProfiler::ingestBatch(const Tuple *events, size_t count)
         // hashed and blk stays event-indexed.
         if (Shielding) {
             kern.hashBlockMulti(hashers.tableWords(), n, bits, dense,
-                                nullptr, numAbsent, blk, entries);
+                                numAbsent, blk, entries);
         } else {
-            kern.hashBlockMulti(hashers.tableWords(), n, bits, block,
-                                nullptr, m, blk, entries);
+            kern.hashBlockMulti(hashers.tableWords(), n, bits, block, m,
+                                blk, entries);
         }
 
         // Phase 3: the event state machine. Promotions change which

@@ -37,7 +37,7 @@ class MultiHashProfiler : public HardwareProfiler
   public:
     explicit MultiHashProfiler(const ProfilerConfig &config);
 
-    void onEvent(const Tuple &t) override;
+    void onEvent(const Tuple &t) override { onEvents(&t, 1); }
     void onEvents(const Tuple *events, size_t count) override;
     IntervalSnapshot endInterval() override;
     void reset() override;
@@ -109,22 +109,20 @@ class MultiHashProfiler : public HardwareProfiler
     uint64_t thresholdCount;
     /** The active ISA tier's kernels, resolved at construction. */
     const IngestKernels *kernels;
-    std::vector<uint64_t> indexScratch;
-    /** kIngestBlock x numTables precomputed indexes (batched only). */
+    /** kIngestBlock x numTables precomputed indexes. */
     std::vector<uint32_t> blockIndexScratch;
-    /** kIngestBlock precomputed accumulator slots (batched only). */
+    /** kIngestBlock precomputed accumulator slots. */
     std::vector<uint32_t> blockSlotScratch;
-    /** Positions of non-shielded events in a block (batched only). */
+    /** Positions of non-shielded events in a block. */
     std::vector<uint32_t> blockAbsentScratch;
-    /** Positions of accumulator-hit events in a block (batched only). */
+    /** Positions of accumulator-hit events in a block. */
     std::vector<uint32_t> blockHitScratch;
-    /** kIngestBlock precomputed TupleHash values (batched only). */
+    /** kIngestBlock precomputed TupleHash values. */
     std::vector<uint64_t> blockTupleHashScratch;
     /**
      * The absent events of a block compacted densely in stream order,
-     * so the hash kernel runs its sequential (pos == nullptr) form and
-     * the bump kernels read their indexes back-to-back (batched only,
-     * shielded path).
+     * so the hash kernel and the bump kernels read and write their
+     * indexes back-to-back (shielded path).
      */
     std::vector<Tuple> blockDenseScratch;
     /** One event's n recomputed indexes (stale-probe repair). */

@@ -68,14 +68,15 @@ class HardwareProfiler : public EventSink
     virtual void onEvent(const Tuple &t) = 0;
 
     /**
-     * Observe a contiguous batch of profiling events.
+     * Observe a contiguous batch of profiling events, in array order.
      *
-     * Semantically identical to calling onEvent() once per tuple in
-     * array order — every override must produce bit-identical interval
-     * snapshots to the event-at-a-time path (this is asserted by
-     * tests/core/test_batched_ingest). The base implementation is that
-     * loop; concrete profilers override it with tight kernels that pay
-     * the virtual dispatch once per batch instead of once per event.
+     * Semantically identical to calling onEvent() once per tuple:
+     * interval snapshots never depend on how a stream is split into
+     * calls. The base implementation is that loop. The hash profilers
+     * and the stratified sampler invert it — their one ingest path is
+     * an onEvents() block kernel, and onEvent(t) is onEvents(&t, 1);
+     * tests/core/test_reference_model.cc checks those kernels at
+     * several block sizes against straight-line per-event specs.
      */
     virtual void
     onEvents(const Tuple *events, size_t count)

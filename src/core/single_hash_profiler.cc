@@ -26,34 +26,18 @@ SingleHashProfiler::SingleHashProfiler(const ProfilerConfig &config_)
     blockHitScratch.resize(kIngestBlock);
 }
 
-void
-SingleHashProfiler::onEvent(const Tuple &t)
-{
-    if (config.shielding) {
-        if (accumulator.incrementIfPresent(t))
-            return;
-    } else if (accumulator.incrementIfPresent(t)) {
-        // Shielding disabled (ablation): the accumulator still counts
-        // exactly, but the tuple keeps pressuring the hash table.
-        table.increment(hasher.index(t));
-        return;
-    }
-
-    const uint64_t idx = hasher.index(t);
-    const uint64_t count = table.increment(idx);
-    if (count >= thresholdCount) {
-        if (accumulator.insert(t, count) && config.resetOnPromote)
-            table.reset(idx);
-    }
-}
-
 template <bool Shielding, bool Reset>
 void
 SingleHashProfiler::ingestBatch(const Tuple *events, size_t count)
 {
-    // Mirrors onEvent() exactly, with the config branches resolved at
-    // compile time, the hash pipeline vectorized (the active ISA
-    // tier's ingest kernels), and the counter array accessed directly.
+    // The profiler's one ingest path (onEvent() is a one-event
+    // block), with the config branches resolved at compile time, the
+    // hash pipeline vectorized (the active ISA tier's ingest kernels),
+    // and the counter array accessed directly. Per event, the state
+    // machine is: shield check in the accumulator; on a miss, bump
+    // the tuple's saturating counter and promote it once the counter
+    // reaches the threshold (zeroing the counter under R1). Without
+    // shielding (ablation), accumulator hits also bump their counter.
     // Events are processed in blocks: all hash indexes for a block are
     // computed first (a pure function of each tuple, so hoisting them
     // is invisible), then the event state machine replays in stream
@@ -99,12 +83,10 @@ SingleHashProfiler::ingestBatch(const Tuple *events, size_t count)
         // loads and stores are sequential and blk[j] belongs to absent
         // event absent[j]; the ablation hashes everything and blk
         // stays event-indexed.
-        if (Shielding) {
-            kern.hashBlock(tables, bits, dense, nullptr, numAbsent,
-                           blk, 1, 0);
-        } else {
-            kern.hashBlock(tables, bits, block, nullptr, m, blk, 1, 0);
-        }
+        if (Shielding)
+            kern.hashBlock(tables, bits, dense, numAbsent, blk);
+        else
+            kern.hashBlock(tables, bits, block, m, blk);
 
         // Phase 3: the event state machine, strictly in stream order
         // (promotions change which later events are shielded). jj

@@ -39,7 +39,7 @@ class SingleHashProfiler : public HardwareProfiler
      */
     explicit SingleHashProfiler(const ProfilerConfig &config);
 
-    void onEvent(const Tuple &t) override;
+    void onEvent(const Tuple &t) override { onEvents(&t, 1); }
     void onEvents(const Tuple *events, size_t count) override;
     IntervalSnapshot endInterval() override;
     void reset() override;
@@ -87,18 +87,17 @@ class SingleHashProfiler : public HardwareProfiler
     uint64_t thresholdCount;
     /** The active ISA tier's kernels, resolved at construction. */
     const IngestKernels *kernels;
-    /** kIngestBlock precomputed indexes (batched only). */
+    /** kIngestBlock precomputed indexes. */
     std::vector<uint32_t> blockIndexScratch;
-    /** kIngestBlock precomputed accumulator slots (batched only). */
+    /** kIngestBlock precomputed accumulator slots. */
     std::vector<uint32_t> blockSlotScratch;
-    /** Positions of non-shielded events in a block (batched only). */
+    /** Positions of non-shielded events in a block. */
     std::vector<uint32_t> blockAbsentScratch;
-    /** kIngestBlock precomputed TupleHash values (batched only). */
+    /** kIngestBlock precomputed TupleHash values. */
     std::vector<uint64_t> blockTupleHashScratch;
     /**
-     * The absent events of a block compacted densely in stream order,
-     * so the hash kernel runs its sequential (pos == nullptr) form
-     * (batched only, shielded path).
+     * The absent events of a block compacted densely in stream order
+     * for the hash kernel (shielded path).
      */
     std::vector<Tuple> blockDenseScratch;
     /** Hit-position list the probe kernel emits (unused here). */

@@ -27,57 +27,14 @@ StratifiedSampler::StratifiedSampler(
     buffer.reserve(config.bufferEntries);
 }
 
-uint64_t
-StratifiedSampler::partialTag(const Tuple &t) const
-{
-    // Tags are taken from the un-folded signature so they are mostly
-    // independent of the index bits.
-    return lowBits(hasher.signature(t) >> 20, config.tagBits);
-}
-
-void
-StratifiedSampler::onEvent(const Tuple &t)
-{
-    ++eventClock;
-    const uint64_t idx = hasher.index(t);
-
-    if (!config.tagged) {
-        uint64_t &c = counters[idx];
-        if (++c >= config.samplingThreshold) {
-            c = 0;
-            report(t, config.samplingThreshold);
-        }
-        return;
-    }
-
-    TaggedEntry &e = taggedEntries[idx];
-    const uint64_t tag = partialTag(t);
-    if (!e.valid) {
-        e = TaggedEntry{tag, 1, 0, true};
-        return;
-    }
-    if (e.tag == tag) {
-        if (++e.hits >= config.samplingThreshold) {
-            e.hits = 0;
-            report(t, config.samplingThreshold);
-        }
-        return;
-    }
-    // Tag mismatch: count the miss; if the occupant is losing the
-    // entry (more misses than hits), replace it with the newcomer.
-    ++e.misses;
-    if (e.misses > e.hits)
-        e = TaggedEntry{tag, 1, 0, true};
-}
-
 void
 StratifiedSampler::onEvents(const Tuple *events, size_t count)
 {
-    // Same state machine as onEvent(), with the variant branch hoisted
-    // out of the loop and the hash pipeline run as one vectorized
-    // kernel pass per block (the active ISA tier's ingest kernels).
-    // The report() path stays a call — it fires once per
-    // samplingThreshold events at most.
+    // The sampler's one ingest path (onEvent() is a one-event block):
+    // the variant branch is hoisted out of the loop and the hash
+    // pipeline runs as one vectorized kernel pass per block (the
+    // active ISA tier's ingest kernels). The report() path stays a
+    // call — it fires once per samplingThreshold events at most.
     const IngestKernels &kern = *kernels;
     uint32_t *const blk = blockIndexScratch.data();
     const uint64_t sampleAt = config.samplingThreshold;
@@ -88,7 +45,7 @@ StratifiedSampler::onEvents(const Tuple *events, size_t count)
             const size_t m = std::min(kIngestBlock, count - base);
             const Tuple *const block = events + base;
             kern.hashBlock(hasher.tableWords(), hasher.indexBits(),
-                           block, nullptr, m, blk, 1, 0);
+                           block, m, blk);
             for (size_t e = 0; e < m; ++e) {
                 const Tuple &t = block[e];
                 ++eventClock;
@@ -104,7 +61,9 @@ StratifiedSampler::onEvents(const Tuple *events, size_t count)
 
     // Tagged variant: both the index (xor-fold) and the partial tag
     // derive from the unfolded signature, so one signatureBlock pass
-    // replaces two scalar randomize pipelines per event.
+    // replaces two scalar randomize pipelines per event. Tags are
+    // taken from the signature's high bits so they are mostly
+    // independent of the index bits.
     TaggedEntry *const entries = taggedEntries.data();
     uint64_t *const sig = blockSigScratch.data();
     const unsigned bits = hasher.indexBits();

@@ -80,7 +80,7 @@ class StratifiedSampler : public HardwareProfiler
     StratifiedSampler(const StratifiedSamplerConfig &config,
                       uint64_t thresholdCount);
 
-    void onEvent(const Tuple &t) override;
+    void onEvent(const Tuple &t) override { onEvents(&t, 1); }
     void onEvents(const Tuple *events, size_t count) override;
     IntervalSnapshot endInterval() override;
     void reset() override;
@@ -127,16 +127,15 @@ class StratifiedSampler : public HardwareProfiler
     void report(const Tuple &t, uint64_t weight);
     void enqueue(const Tuple &t, uint64_t weight);
     void interrupt();
-    uint64_t partialTag(const Tuple &t) const;
 
     StratifiedSamplerConfig config;
     uint64_t thresholdCount;
     TupleHasher hasher;
     /** The active ISA tier's kernels, resolved at construction. */
     const IngestKernels *kernels;
-    /** kIngestBlock precomputed indexes (batched only). */
+    /** kIngestBlock precomputed indexes (untagged). */
     std::vector<uint32_t> blockIndexScratch;
-    /** kIngestBlock precomputed signatures (tagged batched only). */
+    /** kIngestBlock precomputed signatures (tagged). */
     std::vector<uint64_t> blockSigScratch;
 
     // Plain variant state.

@@ -44,13 +44,6 @@ cpuHasTier(IsaTier tier)
 #else
         return false;
 #endif
-      case IsaTier::Neon:
-#if defined(__aarch64__)
-        // NEON (AdvSIMD) is architecturally mandatory on AArch64.
-        return true;
-#else
-        return false;
-#endif
     }
     return false;
 }
@@ -75,8 +68,6 @@ isaTierName(IsaTier tier)
         return "avx2";
       case IsaTier::Avx512:
         return "avx512";
-      case IsaTier::Neon:
-        return "neon";
     }
     return "?";
 }
@@ -86,7 +77,7 @@ parseIsaTier(const std::string &name)
 {
     for (const IsaTier tier :
          {IsaTier::Scalar, IsaTier::Sse42, IsaTier::Avx2,
-          IsaTier::Avx512, IsaTier::Neon}) {
+          IsaTier::Avx512}) {
         if (name == isaTierName(tier))
             return tier;
     }
@@ -102,7 +93,6 @@ isaTierFallback(IsaTier tier)
       case IsaTier::Avx2:
         return IsaTier::Sse42;
       case IsaTier::Sse42:
-      case IsaTier::Neon:
       case IsaTier::Scalar:
         return IsaTier::Scalar;
     }
@@ -118,9 +108,6 @@ isaTierSupported(IsaTier tier)
 IsaTier
 bestIsaTier()
 {
-#if defined(__aarch64__)
-    return IsaTier::Neon;
-#else
     if (cpuHasTier(IsaTier::Avx512))
         return IsaTier::Avx512;
     if (cpuHasTier(IsaTier::Avx2))
@@ -128,7 +115,6 @@ bestIsaTier()
     if (cpuHasTier(IsaTier::Sse42))
         return IsaTier::Sse42;
     return IsaTier::Scalar;
-#endif
 }
 
 std::optional<IsaTier>
@@ -142,7 +128,7 @@ forcedIsaTier()
         if (!gForced) {
             std::fprintf(stderr,
                          "mhp: MHP_FORCE_ISA=%s not recognized "
-                         "(scalar|sse42|avx2|avx512|neon); ignoring\n",
+                         "(scalar|sse42|avx2|avx512); ignoring\n",
                          value);
         }
     });

@@ -22,26 +22,24 @@
 namespace mhp {
 
 /**
- * The kernel dispatch tiers. Scalar is the portable reference;
- * Sse42/Avx2/Avx512 are the x86 tiers (weakest to strongest); Neon is
- * the aarch64 tier. The enumerator values are append-only (Avx512
- * arrived after Neon), so ordering comparisons are meaningless —
- * dispatch walks an explicit fall-down chain instead
- * (isaTierFallback()).
+ * The kernel dispatch tiers. Scalar is the portable reference (and
+ * the only tier of a non-x86 build); Sse42/Avx2/Avx512 are the x86
+ * tiers, weakest to strongest. The enumerator values are fixed (value
+ * 3 is retired), so ordering comparisons are meaningless — dispatch
+ * walks an explicit fall-down chain instead (isaTierFallback()).
  */
 enum class IsaTier : unsigned char
 {
     Scalar = 0,
     Sse42 = 1,
     Avx2 = 2,
-    Neon = 3,
     Avx512 = 4,
 };
 
 /**
  * The next-weaker tier to try when `tier` is unavailable (compiled
- * out or unsupported): Avx512 -> Avx2 -> Sse42 -> Scalar, and
- * Neon -> Scalar. Scalar maps to itself.
+ * out or unsupported): Avx512 -> Avx2 -> Sse42 -> Scalar. Scalar maps
+ * to itself.
  */
 IsaTier isaTierFallback(IsaTier tier);
 
@@ -54,7 +52,7 @@ std::optional<IsaTier> parseIsaTier(const std::string &name);
 /**
  * True when the running CPU can execute the tier's instructions *and*
  * this binary was compiled for an architecture that has the tier
- * (x86: Scalar/Sse42/Avx2; aarch64: Scalar/Neon). Scalar is always
+ * (x86: all tiers; elsewhere: Scalar only). Scalar is always
  * supported.
  */
 bool isaTierSupported(IsaTier tier);

@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "analysis/candidate_stats.h"
-#include "trace/vector_source.h"
+#include "fixtures/vector_source.h"
 #include "workload/benchmarks.h"
 
 namespace mhp {

@@ -5,7 +5,7 @@
 #include "analysis/interval_runner.h"
 #include "core/factory.h"
 #include "core/perfect_profiler.h"
-#include "trace/vector_source.h"
+#include "fixtures/vector_source.h"
 
 namespace mhp {
 namespace {

@@ -21,10 +21,10 @@
 #include "analysis/interval_runner.h"
 #include "analysis/sweep_runner.h"
 #include "core/factory.h"
+#include "fixtures/vector_source.h"
 #include "trace/trace_io.h"
 #include "trace/trace_map.h"
 #include "trace/tuple_span.h"
-#include "trace/vector_source.h"
 #include "workload/benchmarks.h"
 
 namespace mhp {

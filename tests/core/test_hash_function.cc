@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <unordered_set>
 #include <vector>
 
 #include "core/hash_function.h"
@@ -86,6 +87,20 @@ TEST(TupleHasher, BothMembersAffectIndex)
     }
     EXPECT_GT(pc_changes, n * 9 / 10);
     EXPECT_GT(val_changes, n * 9 / 10);
+
+    // randomize magnifies small differences: adjacent inputs flip
+    // about half of the 64 signature bits on average.
+    int flipped = 0;
+    for (uint64_t v = 0x400000; v < 0x400040; ++v) {
+        flipped += __builtin_popcountll(h.signature({v, 0}) ^
+                                        h.signature({v + 1, 0}));
+    }
+    EXPECT_GT(flipped / 64, 20);
+
+    // Byte position matters: the same byte value in byte 0 and byte 1
+    // of either member contributes differently.
+    EXPECT_NE(h.signature({0xAB, 0}), h.signature({0xAB00, 0}));
+    EXPECT_NE(h.signature({0, 0xAB}), h.signature({0, 0xAB00}));
 }
 
 TEST(TupleHasher, SignatureIsFullWidth)
@@ -107,6 +122,11 @@ TEST(TupleHasherFamily, MembersAreIndependent)
 {
     TupleHasherFamily fam(3, 4, 512);
     ASSERT_EQ(fam.size(), 4u);
+    // No random word repeats within or across the members' tables.
+    const size_t words = 4 * TupleHasher::kTableWords;
+    const std::unordered_set<uint64_t> distinct(
+        fam.tableWords(), fam.tableWords() + words);
+    EXPECT_EQ(distinct.size(), words);
     Rng rng(6);
     for (unsigned i = 0; i < 4; ++i) {
         for (unsigned j = i + 1; j < 4; ++j) {

@@ -7,15 +7,15 @@
  * Two layers:
  *  - kernel level: each entry point of each available tier is run
  *    against kernel_ref on randomized inputs, including ragged
- *    lengths, position lists, strides, structure-of-arrays addends,
- *    conservative-update ties, and saturation edge cases (tiny widths
- *    and the >= 2^62 widths the vector compare tricks must refuse);
+ *    lengths, structure-of-arrays addends, conservative-update ties,
+ *    and saturation edge cases (tiny widths and the >= 2^62 widths
+ *    the vector compare tricks must refuse);
  *  - profiler level: full interval snapshots must be identical under
  *    every tier pin, for single-hash, multi-hash, and sampler
  *    architectures.
  *
  * The ctest MHP_FORCE_ISA matrix re-runs this file (and the
- * onEvents ≡ onEvent suite) under each forced tier on top.
+ * reference-model suites) under each forced tier on top.
  */
 
 #include <gtest/gtest.h>
@@ -45,8 +45,7 @@ availableTiers()
 {
     std::vector<IsaTier> tiers;
     for (const IsaTier tier : {IsaTier::Scalar, IsaTier::Sse42,
-                               IsaTier::Avx2, IsaTier::Neon,
-                               IsaTier::Avx512}) {
+                               IsaTier::Avx2, IsaTier::Avx512}) {
         if (ingestKernelsFor(tier) != nullptr)
             tiers.push_back(tier);
     }
@@ -109,8 +108,8 @@ TEST_P(IngestKernelTiers, HashBlockMatchesReference)
         const std::vector<Tuple> tuples = randomTuples(m, 99 + m);
         std::vector<uint32_t> got(m + 1, 0xdeadbeef);
         std::vector<uint32_t> want(m + 1, 0xdeadbeef);
-        kernels().hashBlock(tables, bits, tuples.data(), nullptr, m,
-                            got.data(), 1, 0);
+        kernels().hashBlock(tables, bits, tuples.data(), m,
+                            got.data());
         for (size_t j = 0; j < m; ++j) {
             want[j] = static_cast<uint32_t>(
                 kernel_ref::index(tables, bits, tuples[j]));
@@ -118,38 +117,6 @@ TEST_P(IngestKernelTiers, HashBlockMatchesReference)
             EXPECT_EQ(got[j], hasher.index(tuples[j]));
         }
         EXPECT_EQ(got[m], 0xdeadbeefu); // no overrun
-    }
-}
-
-TEST_P(IngestKernelTiers, HashBlockHonoursStrideAddendAndPositions)
-{
-    TupleHasher hasher(0x77, 512);
-    const unsigned bits = hasher.indexBits();
-    const uint64_t *const tables = hasher.tableWords();
-    const size_t m = 97;
-    const std::vector<Tuple> tuples = randomTuples(m, 7);
-
-    // A sparse position list, unsorted order included.
-    std::vector<uint32_t> pos = {3, 0, 96, 42, 41, 40, 8, 9, 10, 11, 12};
-    const uint32_t stride = 4;
-    const uint32_t addend = 3 * 512;
-    std::vector<uint32_t> got(m * stride, 0u);
-    kernels().hashBlock(tables, bits, tuples.data(), pos.data(),
-                        pos.size(), got.data(), stride, addend);
-    std::vector<bool> touched(m, false);
-    for (const uint32_t k : pos) {
-        touched[k] = true;
-        const uint32_t want =
-            static_cast<uint32_t>(
-                kernel_ref::index(tables, bits, tuples[k])) +
-            addend;
-        EXPECT_EQ(got[k * stride], want) << "k=" << k;
-    }
-    for (size_t k = 0; k < m; ++k) {
-        if (!touched[k]) {
-            for (uint32_t i = 0; i < stride; ++i)
-                EXPECT_EQ(got[k * stride + i], 0u) << "k=" << k;
-        }
     }
 }
 
@@ -166,8 +133,8 @@ TEST_P(IngestKernelTiers, HashBlockMatchesAcrossFoldWidths)
         const size_t m = 37;
         const std::vector<Tuple> tuples = randomTuples(m, tableSize);
         std::vector<uint32_t> got(m);
-        kernels().hashBlock(tables, bits, tuples.data(), nullptr, m,
-                            got.data(), 1, 0);
+        kernels().hashBlock(tables, bits, tuples.data(), m,
+                            got.data());
         for (size_t j = 0; j < m; ++j) {
             EXPECT_EQ(got[j],
                       static_cast<uint32_t>(
@@ -191,8 +158,8 @@ TEST_P(IngestKernelTiers, HashBlockMultiMatchesReference)
             const std::vector<Tuple> tuples = randomTuples(m, m * n + 3);
             std::vector<uint32_t> got(m * n + 1, 0xdeadbeef);
             kernels().hashBlockMulti(family.tableWords(), n, bits,
-                                     tuples.data(), nullptr, m,
-                                     got.data(), addendStride);
+                                     tuples.data(), m, got.data(),
+                                     addendStride);
             for (size_t j = 0; j < m; ++j) {
                 for (unsigned i = 0; i < n; ++i) {
                     const uint32_t want =
@@ -205,38 +172,6 @@ TEST_P(IngestKernelTiers, HashBlockMultiMatchesReference)
                 }
             }
             EXPECT_EQ(got[m * n], 0xdeadbeefu); // no overrun
-        }
-    }
-}
-
-TEST_P(IngestKernelTiers, HashBlockMultiHonoursPositions)
-{
-    const unsigned n = 4;
-    TupleHasherFamily family(0xabcd, n, 1024);
-    const unsigned bits = family.function(0).indexBits();
-    const size_t m = 61;
-    const std::vector<Tuple> tuples = randomTuples(m, 13);
-    const std::vector<uint32_t> pos = {5, 1, 60, 33, 32, 2, 19};
-    const uint32_t addendStride = 1024;
-    std::vector<uint32_t> got(m * n, 0u);
-    kernels().hashBlockMulti(family.tableWords(), n, bits,
-                             tuples.data(), pos.data(), pos.size(),
-                             got.data(), addendStride);
-    std::vector<bool> touched(m, false);
-    for (const uint32_t k : pos) {
-        touched[k] = true;
-        for (unsigned i = 0; i < n; ++i) {
-            const uint32_t want =
-                static_cast<uint32_t>(kernel_ref::index(
-                    family.memberTables(i), bits, tuples[k])) +
-                i * addendStride;
-            EXPECT_EQ(got[k * n + i], want) << "k=" << k << " i=" << i;
-        }
-    }
-    for (size_t k = 0; k < m; ++k) {
-        if (!touched[k]) {
-            for (unsigned i = 0; i < n; ++i)
-                EXPECT_EQ(got[k * n + i], 0u) << "k=" << k;
         }
     }
 }
@@ -690,8 +625,8 @@ TEST(IngestKernelDispatch, ScalarTierAlwaysPresent)
 
 TEST(IngestKernelDispatch, UnsupportedTierResolvesToNull)
 {
-    for (const IsaTier tier : {IsaTier::Sse42, IsaTier::Avx2,
-                               IsaTier::Neon, IsaTier::Avx512}) {
+    for (const IsaTier tier :
+         {IsaTier::Sse42, IsaTier::Avx2, IsaTier::Avx512}) {
         if (!isaTierSupported(tier)) {
             EXPECT_EQ(ingestKernelsFor(tier), nullptr);
         }

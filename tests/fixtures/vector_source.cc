@@ -1,4 +1,4 @@
-#include "trace/vector_source.h"
+#include "fixtures/vector_source.h"
 
 #include "support/panic.h"
 

@@ -1,19 +1,16 @@
 /**
  * @file
- * An EventSource over an in-memory vector of tuples.
- *
- * Mostly used by tests (hand-crafted streams with known answers) and by
- * code that replays a recorded interval.
+ * Test fixture: an EventSource over an in-memory vector of tuples, for
+ * hand-crafted streams with known answers.
  */
 
-#ifndef MHP_TRACE_VECTOR_SOURCE_H
-#define MHP_TRACE_VECTOR_SOURCE_H
+#ifndef MHP_TESTS_FIXTURES_VECTOR_SOURCE_H
+#define MHP_TESTS_FIXTURES_VECTOR_SOURCE_H
 
 #include <string>
 #include <vector>
 
 #include "trace/source.h"
-#include "trace/tuple_span.h"
 
 namespace mhp {
 
@@ -38,9 +35,6 @@ class VectorSource : public EventSource
     /** Rewind to the beginning of the stream. */
     void reset() { pos = 0; }
 
-    /** View of the whole backing stream (for batched consumers). */
-    TupleSpan span() const { return TupleSpan(tuples); }
-
     size_t size() const { return tuples.size(); }
 
   private:
@@ -52,4 +46,4 @@ class VectorSource : public EventSource
 
 } // namespace mhp
 
-#endif // MHP_TRACE_VECTOR_SOURCE_H
+#endif // MHP_TESTS_FIXTURES_VECTOR_SOURCE_H

@@ -12,9 +12,9 @@
 #include "analysis/interval_runner.h"
 #include "core/factory.h"
 #include "core/perfect_profiler.h"
+#include "fixtures/vector_source.h"
 #include "support/rng.h"
 #include "support/zipf.h"
-#include "trace/vector_source.h"
 
 namespace mhp {
 namespace {

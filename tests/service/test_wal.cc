@@ -141,6 +141,10 @@ readFile(const std::string &path)
 void
 writeFile(const std::string &path, const std::vector<uint8_t> &bytes)
 {
+    // Unlink and create instead of truncating in place: on some file
+    // systems truncating a non-empty file costs ~100x more, and the
+    // corpus loops rewrite one small file thousands of times.
+    std::filesystem::remove(path);
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char *>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));

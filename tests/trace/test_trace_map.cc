@@ -21,11 +21,11 @@
 
 #include "analysis/interval_runner.h"
 #include "core/factory.h"
+#include "fixtures/vector_source.h"
 #include "support/rng.h"
 #include "trace/trace_io.h"
 #include "trace/trace_map.h"
 #include "trace/tuple_span.h"
-#include "trace/vector_source.h"
 
 namespace mhp {
 namespace {

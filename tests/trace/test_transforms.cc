@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "fixtures/vector_source.h"
 #include "trace/transforms.h"
-#include "trace/vector_source.h"
 
 namespace mhp {
 namespace {

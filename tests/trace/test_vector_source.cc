@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "trace/vector_source.h"
+#include "fixtures/vector_source.h"
 
 namespace mhp {
 namespace {

@@ -105,8 +105,6 @@ main(int argc, char **argv)
     cli.addBool("no-retain", false, "P0: flush accumulator per interval");
     cli.addBool("no-conservative", false, "C0: plain counter update");
     cli.addInt("seed", 1, "workload seed");
-    cli.addInt("batch", 4096,
-               "events per onEvents() block (0 = per-event ingest)");
     cli.addInt("workers", 2, "worker processes to spawn");
     cli.addBool("accept-external", false,
                 "also accept externally started mhprof_worker "
@@ -147,8 +145,8 @@ main(int argc, char **argv)
                 "log spawn/death/steal events to stderr");
     cli.parse(argc, argv);
 
-    if (cli.getInt("intervals") <= 0 || cli.getInt("batch") < 0 ||
-        cli.getInt("workers") < 0 || cli.getInt("chunk-cells") < 0 ||
+    if (cli.getInt("intervals") <= 0 || cli.getInt("workers") < 0 ||
+        cli.getInt("chunk-cells") < 0 ||
         cli.getInt("worker-timeout-ms") <= 0 ||
         cli.getInt("heartbeat-ms") <= 0 ||
         cli.getInt("max-restarts") < 0 || cli.getInt("threads") < 0 ||
@@ -223,8 +221,6 @@ main(int argc, char **argv)
     plan.intervalLengths = lengths;
     plan.intervals = static_cast<uint64_t>(cli.getInt("intervals"));
     plan.workloadSeed = static_cast<uint64_t>(cli.getInt("seed"));
-    const uint64_t batch = static_cast<uint64_t>(cli.getInt("batch"));
-    plan.batchSize = batch > 0 ? batch : 1;
 
     SweepResilienceOptions resilience;
     resilience.maxAttempts =

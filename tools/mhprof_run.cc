@@ -161,8 +161,6 @@ runSweep(const mhp::CliParser &cli, const mhp::ProfilerConfig &cfg,
     plan.intervalLengths = lengths;
     plan.intervals = static_cast<uint64_t>(cli.getInt("intervals"));
     plan.workloadSeed = static_cast<uint64_t>(cli.getInt("seed"));
-    const uint64_t batch = static_cast<uint64_t>(cli.getInt("batch"));
-    plan.batchSize = batch > 0 ? batch : 1;
 
     SweepResilienceOptions options;
     options.threads = static_cast<unsigned>(cli.getInt("threads"));
@@ -270,8 +268,6 @@ main(int argc, char **argv)
     cli.addBool("no-retain", false, "P0: flush accumulator per interval");
     cli.addBool("no-conservative", false, "C0: plain counter update");
     cli.addInt("seed", 1, "workload seed");
-    cli.addInt("batch", 4096,
-               "events per onEvents() block (0 = per-event ingest)");
     cli.addInt("threads", 0,
                "worker threads for scoring a mapped trace or running "
                "a sweep (0 = auto, 1 = serial streaming)");
@@ -298,7 +294,7 @@ main(int argc, char **argv)
                "seed for probabilistic failpoints and retry jitter");
     cli.addString("isa", "",
                   "pin the ingest-kernel ISA tier "
-                  "(scalar|sse42|avx2|avx512|neon; default: auto-detect)");
+                  "(scalar|sse42|avx2|avx512; default: auto-detect)");
     cli.parse(argc, argv);
 
     if (const std::string isa = cli.getString("isa"); !isa.empty()) {
@@ -306,7 +302,7 @@ main(int argc, char **argv)
         if (!tier) {
             std::fprintf(stderr,
                          "mhprof_run: --isa=%s not recognized "
-                         "(scalar|sse42|avx2|avx512|neon)\n",
+                         "(scalar|sse42|avx2|avx512)\n",
                          isa.c_str());
             return 1;
         }
@@ -320,12 +316,12 @@ main(int argc, char **argv)
         setIsaTierForTesting(*tier);
     }
 
-    if (cli.getInt("intervals") < 0 || cli.getInt("batch") < 0 ||
-        cli.getInt("threads") < 0 || cli.getInt("retries") < 0 ||
+    if (cli.getInt("intervals") < 0 || cli.getInt("threads") < 0 ||
+        cli.getInt("retries") < 0 ||
         cli.getInt("cell-deadline-ms") < 0 ||
         cli.getInt("backoff-ms") < 0 || cli.getInt("distributed") < 0) {
         std::fprintf(stderr,
-                     "--intervals, --batch, --threads, --retries, "
+                     "--intervals, --threads, --retries, "
                      "--cell-deadline-ms, --backoff-ms and "
                      "--distributed must be >= 0\n");
         return 1;
@@ -442,22 +438,22 @@ main(int argc, char **argv)
     // materialize-then-span and run-twice paths.
     const uint64_t numIntervals =
         static_cast<uint64_t>(cli.getInt("intervals"));
-    const uint64_t batch = static_cast<uint64_t>(cli.getInt("batch"));
     const unsigned threads =
         static_cast<unsigned>(cli.getInt("threads"));
     RunOutput out;
-    if (map && TraceMap::zeroCopy() && batch > 0 && threads != 1) {
+    if (map && TraceMap::zeroCopy() && threads != 1) {
         // Mapped trace: the whole record region is already a span, so
         // the parallel runner can score intervals concurrently with
         // no copy at all.
         BatchedRunOptions options;
-        options.batchSize = batch;
         options.threads = threads;
         options.keepSnapshots = true;
         out = runIntervalsSpan(*map->span(), {profiler.get()},
                                cfg.intervalLength, cfg.thresholdCount(),
                                numIntervals, options);
     } else {
+        StreamRunOptions options;
+        options.keepSnapshots = true;
         std::unique_ptr<TraceMapSource> mapCursor;
         std::unique_ptr<EventSourceCursor> eventCursor;
         StreamCursor *cursor;
@@ -466,12 +462,9 @@ main(int argc, char **argv)
             cursor = mapCursor.get();
         } else {
             eventCursor = std::make_unique<EventSourceCursor>(
-                *source, static_cast<size_t>(batch > 0 ? batch : 1));
+                *source, static_cast<size_t>(options.batchSize));
             cursor = eventCursor.get();
         }
-        StreamRunOptions options;
-        options.batchSize = batch > 0 ? batch : 1;
-        options.keepSnapshots = true;
         out = runIntervalsStream(*cursor, {profiler.get()},
                                  cfg.intervalLength,
                                  cfg.thresholdCount(), numIntervals,
