@@ -83,19 +83,7 @@ encodePlan(ByteBuffer &out, const WirePlan &plan)
     out.u64(p.configs.size());
     for (const SweepConfig &config : p.configs) {
         out.str(config.label);
-        const ProfilerConfig &c = config.config;
-        out.u64(c.intervalLength);
-        out.f64(c.candidateThreshold);
-        out.u64(c.totalHashEntries);
-        out.u32(c.numHashTables);
-        out.u32(c.counterBits);
-        out.u8(c.retaining ? 1 : 0);
-        out.u8(c.resetOnPromote ? 1 : 0);
-        out.u8(c.conservativeUpdate ? 1 : 0);
-        out.u8(c.shielding ? 1 : 0);
-        out.u8(c.flushHashTables ? 1 : 0);
-        out.u64(c.accumulatorEntries);
-        out.u64(c.seed);
+        encodeProfilerConfig(out, config.config);
     }
     out.u64(p.intervalLengths.size());
     for (uint64_t length : p.intervalLengths)
@@ -145,25 +133,9 @@ decodePlan(const uint8_t *data, size_t size, WirePlan &plan)
         return malformed("Plan");
     p.configs.resize(configs);
     for (SweepConfig &config : p.configs) {
-        ProfilerConfig &c = config.config;
-        uint32_t tables, counterBits;
-        uint8_t retaining, reset, conservative, shielding, flush;
         if (!cursor.str(config.label) ||
-            !cursor.u64(c.intervalLength) ||
-            !cursor.f64(c.candidateThreshold) ||
-            !cursor.u64(c.totalHashEntries) || !cursor.u32(tables) ||
-            !cursor.u32(counterBits) || !cursor.u8(retaining) ||
-            !cursor.u8(reset) || !cursor.u8(conservative) ||
-            !cursor.u8(shielding) || !cursor.u8(flush) ||
-            !cursor.u64(c.accumulatorEntries) || !cursor.u64(c.seed))
+            !decodeProfilerConfig(cursor, config.config))
             return malformed("Plan");
-        c.numHashTables = tables;
-        c.counterBits = counterBits;
-        c.retaining = retaining != 0;
-        c.resetOnPromote = reset != 0;
-        c.conservativeUpdate = conservative != 0;
-        c.shielding = shielding != 0;
-        c.flushHashTables = flush != 0;
     }
 
     uint64_t lengths;

@@ -21,10 +21,14 @@
 #include <cstdio>
 #include <string>
 
+#include "support/bit_util.h"
 #include "support/panic.h"
 #include "support/status.h"
 
 namespace mhp {
+
+class ByteBuffer;
+class ByteCursor;
 
 /** All knobs of a single- or multi-hash profiler instance. */
 struct ProfilerConfig
@@ -108,9 +112,11 @@ struct ProfilerConfig
 
     /**
      * Validate the configuration; an InvalidArgument Status names the
-     * offending knob. This is the path for user-supplied configs
-     * (tool flags); internal callers with trusted configs can keep
-     * using validate().
+     * offending knob. Refuses exactly what constructing a profiler
+     * would abort on, so a config that passes always builds. This is
+     * the path for untrusted configs (decoded plans, journals);
+     * internal callers with trusted configs can keep using
+     * validate().
      */
     Status
     check() const
@@ -124,11 +130,40 @@ struct ProfilerConfig
         if (numHashTables < 1)
             return Status::invalidArgument(
                 "need at least one hash table");
-        if (entriesPerTable() < 1)
+        if (entriesPerTable() < 2 || !isPowerOfTwo(entriesPerTable()))
             return Status::invalidArgument(
-                "more hash tables than total entries");
+                "entries per hash table (" +
+                std::to_string(totalHashEntries) + " over " +
+                std::to_string(numHashTables) +
+                " tables) must be a power of two, at least 2");
+        if (entriesPerTable() * numHashTables > UINT32_MAX)
+            return Status::invalidArgument(
+                "hash-table entries exceed 32-bit indexing");
         if (counterBits < 1 || counterBits > 64)
             return Status::invalidArgument("counterBits out of range");
+        return Status::ok();
+    }
+
+    /**
+     * check() plus the rule for configs arriving from outside (tool
+     * flags, tenant Hellos): a counter must be able to count up to
+     * thresholdCount(). One that saturates below it never promotes
+     * anything, and the profile comes back silently empty. Ablations
+     * that build such configs on purpose go through check() alone.
+     */
+    Status
+    checkAtEdge() const
+    {
+        MHP_RETURN_IF_ERROR(check());
+        const uint64_t saturation =
+            counterBits >= 64 ? ~0ULL : (1ULL << counterBits) - 1;
+        if (saturation < thresholdCount())
+            return Status::invalidArgument(
+                std::to_string(counterBits) + "-bit counters saturate "
+                "at " + std::to_string(saturation) +
+                ", below the threshold count " +
+                std::to_string(thresholdCount()) +
+                ": nothing could ever be promoted");
         return Status::ok();
     }
 
@@ -156,6 +191,16 @@ struct ProfilerConfig
         return buf;
     }
 };
+
+/**
+ * The one wire encoding of a ProfilerConfig, shared by the service
+ * Hello, the service journal (service/wal.h) and the sweep Plan
+ * (analysis/sweep_wire.h): every field in declaration order at a
+ * fixed width. SweepRunner::planFingerprint() keeps its own, older
+ * encoding so existing checkpoints still resume.
+ */
+void encodeProfilerConfig(ByteBuffer &out, const ProfilerConfig &c);
+bool decodeProfilerConfig(ByteCursor &cursor, ProfilerConfig &c);
 
 } // namespace mhp
 

@@ -153,7 +153,8 @@ struct IngestKernels
     /**
      * The simulator-side TupleHash for a block of tuples
      * (out[j] = TupleHash{}(block[j])) — the accumulator-hit filter
-     * probes all of a block's bucket chains from these.
+     * derives each tuple's tag-group probe index (accum_layout) from
+     * these.
      */
     void (*tupleHashBlock)(const Tuple *block, size_t m, uint64_t *out);
 

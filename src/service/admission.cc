@@ -23,7 +23,7 @@ Status
 AdmissionController::vet(const ProfilerConfig &config,
                          const TenantQuota &quota) const
 {
-    MHP_RETURN_IF_ERROR(config.check());
+    MHP_RETURN_IF_ERROR(config.checkAtEdge());
     if (quota.maxQueueEvents == 0)
         return Status::invalidArgument(
             "maxQueueEvents must be positive (the queue is the "

@@ -61,8 +61,11 @@ class AdmissionController
     }
 
     /**
-     * Validate a tenant's requested config and quotas against the
-     * ceilings; InvalidArgument names the offending knob and the cap.
+     * Validate a tenant's requested config (ProfilerConfig::
+     * checkAtEdge(): one that cannot build or cannot promote is
+     * refused here, before it can reach a profiler) and quotas
+     * against the ceilings; InvalidArgument names the offending knob
+     * and the cap.
      */
     Status vet(const ProfilerConfig &config,
                const TenantQuota &quota) const;

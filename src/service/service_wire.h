@@ -80,13 +80,12 @@ Status decodeHello(const uint8_t *data, size_t size,
                    WireTenantHello &hello);
 
 /**
- * The profiler-config and quota field encodings shared by the Hello
- * payload and the service journal's admit/checkpoint records
- * (service/wal.h) — one codec, so a config admitted over the wire
- * and one replayed from the journal can never disagree.
+ * The quota field encoding shared by the Hello payload and the
+ * service journal's admit/checkpoint records (service/wal.h); the
+ * config beside it travels through the one ProfilerConfig codec
+ * (core/config.h), so a config admitted over the wire and one
+ * replayed from the journal can never disagree.
  */
-void encodeProfilerConfig(ByteBuffer &out, const ProfilerConfig &c);
-bool decodeProfilerConfig(ByteCursor &cursor, ProfilerConfig &c);
 void encodeTenantQuota(ByteBuffer &out, const TenantQuota &q);
 bool decodeTenantQuota(ByteCursor &cursor, TenantQuota &q);
 

@@ -11,10 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/sweep_wire.h"
+#include "core/factory.h"
 #include "support/bytes.h"
 
 namespace mhp {
@@ -103,6 +106,133 @@ TEST(SweepWire, PlanRoundTripsEveryField)
     EXPECT_EQ(back.failpointSpec, plan.failpointSpec);
     EXPECT_EQ(back.failpointSeed, plan.failpointSeed);
     EXPECT_EQ(back.planFingerprint, plan.planFingerprint);
+}
+
+TEST(SweepWire, PlanWithUnbuildableConfigIsCorruptNotFatal)
+{
+    WirePlan plan = samplePlan();
+    plan.plan.configs[0].config.totalHashEntries = 3000;
+    const std::vector<uint8_t> bytes = encoded(plan);
+    WirePlan back;
+    EXPECT_EQ(decodePlan(bytes.data(), bytes.size(), back).code(),
+              StatusCode::CorruptData);
+}
+
+// --- ProfilerConfig codec and plan fingerprint pins -----------------
+// The codec (core/config.h) is shared by the sweep Plan, the service
+// Hello and the service journal; planFingerprint() keys every
+// checkpoint journal. Their bytes must never drift: a drift silently
+// orphans existing checkpoints and journals.
+
+std::vector<uint8_t>
+configBytes(const ProfilerConfig &c)
+{
+    ByteBuffer out;
+    encodeProfilerConfig(out, c);
+    return {out.data(), out.data() + out.size()};
+}
+
+uint64_t
+fingerprintWith(const ProfilerConfig &c)
+{
+    SweepPlan plan;
+    plan.benchmarks = {"gcc", "li"};
+    plan.configs.push_back({"mh4", c});
+    plan.intervalLengths = {1000, 2000};
+    plan.intervals = 3;
+    plan.workloadSeed = 7;
+    return SweepRunner(std::move(plan)).planFingerprint();
+}
+
+/** One edit per ProfilerConfig field, each keeping the config valid. */
+const std::vector<std::pair<const char *,
+                            std::function<void(ProfilerConfig &)>>>
+    kFieldEdits = {
+        {"intervalLength", [](ProfilerConfig &c) { c.intervalLength++; }},
+        {"candidateThreshold",
+         [](ProfilerConfig &c) { c.candidateThreshold = 0.02; }},
+        {"totalHashEntries",
+         [](ProfilerConfig &c) { c.totalHashEntries = 4096; }},
+        {"numHashTables", [](ProfilerConfig &c) { c.numHashTables = 2; }},
+        {"counterBits", [](ProfilerConfig &c) { c.counterBits = 16; }},
+        {"retaining", [](ProfilerConfig &c) { c.retaining = !c.retaining; }},
+        {"resetOnPromote",
+         [](ProfilerConfig &c) { c.resetOnPromote = !c.resetOnPromote; }},
+        {"conservativeUpdate",
+         [](ProfilerConfig &c) {
+             c.conservativeUpdate = !c.conservativeUpdate;
+         }},
+        {"shielding", [](ProfilerConfig &c) { c.shielding = !c.shielding; }},
+        {"flushHashTables",
+         [](ProfilerConfig &c) { c.flushHashTables = !c.flushHashTables; }},
+        {"accumulatorEntries",
+         [](ProfilerConfig &c) { c.accumulatorEntries = 64; }},
+        {"seed", [](ProfilerConfig &c) { c.seed++; }},
+};
+
+TEST(ProfilerConfigCodec, EveryFieldChangesBytesAndFingerprint)
+{
+    ASSERT_EQ(kFieldEdits.size(), 12u);
+    const ProfilerConfig base = bestMultiHashConfig(10'000, 0.01);
+    const std::vector<uint8_t> baseBytes = configBytes(base);
+    const uint64_t baseFingerprint = fingerprintWith(base);
+    for (const auto &[field, edit] : kFieldEdits) {
+        ProfilerConfig changed = base;
+        edit(changed);
+        ASSERT_TRUE(changed.check().isOk()) << field;
+        EXPECT_NE(configBytes(changed), baseBytes) << field;
+        EXPECT_NE(fingerprintWith(changed), baseFingerprint) << field;
+    }
+}
+
+TEST(ProfilerConfigCodec, RoundTripsEveryField)
+{
+    ProfilerConfig c;
+    for (const auto &[field, edit] : kFieldEdits)
+        edit(c);
+    const std::vector<uint8_t> bytes = configBytes(c);
+    ByteCursor cursor(bytes.data(), bytes.size());
+    ProfilerConfig back;
+    ASSERT_TRUE(decodeProfilerConfig(cursor, back));
+    EXPECT_TRUE(cursor.atEnd());
+    EXPECT_EQ(back.intervalLength, c.intervalLength);
+    EXPECT_EQ(back.candidateThreshold, c.candidateThreshold);
+    EXPECT_EQ(back.totalHashEntries, c.totalHashEntries);
+    EXPECT_EQ(back.numHashTables, c.numHashTables);
+    EXPECT_EQ(back.counterBits, c.counterBits);
+    EXPECT_EQ(back.retaining, c.retaining);
+    EXPECT_EQ(back.resetOnPromote, c.resetOnPromote);
+    EXPECT_EQ(back.conservativeUpdate, c.conservativeUpdate);
+    EXPECT_EQ(back.shielding, c.shielding);
+    EXPECT_EQ(back.flushHashTables, c.flushHashTables);
+    EXPECT_EQ(back.accumulatorEntries, c.accumulatorEntries);
+    EXPECT_EQ(back.seed, c.seed);
+    for (size_t cut = 0; cut < bytes.size(); ++cut) {
+        ByteCursor truncated(bytes.data(), cut);
+        EXPECT_FALSE(decodeProfilerConfig(truncated, back)) << cut;
+    }
+}
+
+TEST(ProfilerConfigCodec, BytesMatchRecordedLiterals)
+{
+    // Literal bytes that existing Hellos, Plans, service journals and
+    // checkpoint journals carry; a build that changes them can no
+    // longer read what older builds wrote.
+    const std::vector<uint8_t> bytes = configBytes(ProfilerConfig{});
+    std::string hex;
+    for (uint8_t b : bytes) {
+        static const char digits[] = "0123456789abcdef";
+        hex += digits[b >> 4];
+        hex += digits[b & 15];
+    }
+    EXPECT_EQ(hex, "10270000000000007b14ae47e17a843f0008000000000000"
+                   "0400000018000000010001010100000000000000000df0fe"
+                   "ca00000000");
+
+    EXPECT_EQ(fingerprintWith(bestMultiHashConfig(10'000, 0.01)),
+              0x86eae6977258a088ULL);
+    const std::vector<uint8_t> plan = encoded(samplePlan());
+    EXPECT_EQ(fnv1a64(plan.data(), plan.size()), 0xbf65e31d9a794930ULL);
 }
 
 TEST(SweepWire, LeaseRoundTripsAndRejectsInversion)

@@ -68,6 +68,61 @@ TEST(ProfilerConfig, DescribeMentionsKeyKnobs)
     EXPECT_NE(c.describe().find("sh1"), std::string::npos);
 }
 
+TEST(ProfilerConfig, CheckRefusesWhatConstructionAbortsOn)
+{
+    // Every refusal here used to pass check() and then abort inside
+    // the hash functions or the counter bank instead.
+    ProfilerConfig c;
+    EXPECT_TRUE(c.check().isOk());
+
+    c.totalHashEntries = 3000; // 750 per table: not a power of two
+    EXPECT_EQ(c.check().code(), StatusCode::InvalidArgument);
+    c.numHashTables = 3; // 2048 / 3 = 682
+    c.totalHashEntries = 2048;
+    EXPECT_EQ(c.check().code(), StatusCode::InvalidArgument);
+    c.numHashTables = 1; // one entry per table
+    c.totalHashEntries = 1;
+    EXPECT_EQ(c.check().code(), StatusCode::InvalidArgument);
+    c.totalHashEntries = 2;
+    EXPECT_TRUE(c.check().isOk());
+
+    c = ProfilerConfig{};
+    c.numHashTables = 2; // 2^32 entries: past 32-bit bank indexing
+    c.totalHashEntries = 1ULL << 32;
+    EXPECT_EQ(c.check().code(), StatusCode::InvalidArgument);
+    c.totalHashEntries = 1ULL << 31;
+    EXPECT_TRUE(c.check().isOk());
+}
+
+TEST(ProfilerConfig, EdgeCheckRefusesCountersThatCannotReachThreshold)
+{
+    // 8-bit counters saturate at 255: at 1M/1% (threshold count
+    // 10000) nothing is ever promoted, a silently empty profile. The
+    // ablation benches build such configs on purpose, so check()
+    // alone still passes them.
+    ProfilerConfig c;
+    c.counterBits = 8;
+    c.intervalLength = 1'000'000;
+    c.candidateThreshold = 0.01;
+    EXPECT_TRUE(c.check().isOk());
+    const Status refused = c.checkAtEdge();
+    EXPECT_EQ(refused.code(), StatusCode::InvalidArgument);
+    EXPECT_NE(refused.message().find("255"), std::string::npos)
+        << refused.toString();
+
+    c.intervalLength = 10'000; // threshold count 100 fits in 255
+    EXPECT_TRUE(c.checkAtEdge().isOk());
+    c.intervalLength = 25'500;
+    ASSERT_EQ(c.thresholdCount(), 255u);
+    EXPECT_TRUE(c.checkAtEdge().isOk());
+    c.intervalLength = 25'600;
+    EXPECT_FALSE(c.checkAtEdge().isOk());
+
+    c = ProfilerConfig{};
+    c.totalHashEntries = 3000; // check()'s rules apply at the edge too
+    EXPECT_FALSE(c.checkAtEdge().isOk());
+}
+
 TEST(ProfilerConfigDeathTest, ValidateRejectsNonsense)
 {
     ProfilerConfig c;
@@ -90,6 +145,11 @@ TEST(ProfilerConfigDeathTest, ValidateRejectsNonsense)
     c.totalHashEntries = 4;
     c.numHashTables = 8;
     EXPECT_EXIT(c.validate(), ::testing::ExitedWithCode(1), "");
+
+    c = ProfilerConfig{};
+    c.totalHashEntries = 3000;
+    EXPECT_EXIT(c.validate(), ::testing::ExitedWithCode(1),
+                "power of two");
 }
 
 } // namespace

@@ -10,8 +10,8 @@ REPORT_OUT="$2"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-SWEEP="$TOOLS/mhprof_run --benchmark=li --intervals=2 --seed=5 \
-    --entries=512 --sweep-lengths=500,1000,2000,4000"
+SWEEP="$TOOLS/mhprof_coord --serial --benchmark=li --intervals=2 \
+    --seed=5 --entries=512 --sweep-lengths=500,1000,2000,4000"
 
 # Fault-free reference: 4 cells, exit 0, 4 table lines.
 $SWEEP > "$TMP/ref.out"

@@ -51,6 +51,14 @@ grep -q '"k_iterations": 2' "$TMP/k2.json" ||
 cmp -s "$TMP/a.json" "$TMP/k2.json" &&
     fail "k change left the report identical"
 
+# A preset config that cannot run is refused with exit 1 and a Status
+# diagnostic before the pipeline builds any profiler.
+rc=0
+"$TOOLS/mhprof_pgo" --entries=3000 --out="$TMP/bad.json" \
+    2> "$TMP/bad.err" || rc=$?
+[ "$rc" -eq 1 ] && grep -q "invalid argument" "$TMP/bad.err" ||
+    fail "unrunnable preset not refused (exit $rc): $(cat "$TMP/bad.err")"
+
 # --- event classes across tools --------------------------------------
 # The path workload flows through the standard profiling pipeline and
 # stamps its kind into the .mhp header.
@@ -74,8 +82,9 @@ grep -q "event classes differ" "$TMP/cmp.err" ||
     fail "cross-kind rejection lacks a diagnostic: $(cat "$TMP/cmp.err")"
 
 # --- duplicate sweep lengths dedupe ----------------------------------
-"$TOOLS/mhprof_run" --benchmark=li --sweep-lengths=2000,2000,4000 \
-    --intervals=2 > "$TMP/sweep.out" 2> "$TMP/sweep.err" ||
+"$TOOLS/mhprof_coord" --serial --benchmark=li \
+    --sweep-lengths=2000,2000,4000 --intervals=2 \
+    > "$TMP/sweep.out" 2> "$TMP/sweep.err" ||
     fail "sweep with duplicate lengths failed"
 grep -q "duplicate sweep length" "$TMP/sweep.err" ||
     fail "no duplicate-length warning: $(cat "$TMP/sweep.err")"

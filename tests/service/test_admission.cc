@@ -15,6 +15,7 @@
 
 #include "core/factory.h"
 #include "service/admission.h"
+#include "service/daemon.h"
 #include "service/registry.h"
 #include "service/tenant.h"
 
@@ -104,6 +105,58 @@ TEST(AdmissionControl, VetEnforcesCeilings)
     ProfilerConfig broken = smallConfig();
     broken.intervalLength = 0;
     EXPECT_FALSE(controller.vet(broken, quotaAt(0)).isOk());
+}
+
+TEST(AdmissionControl, VetRefusesConfigsThatCannotProfile)
+{
+    const AdmissionController controller{AdmissionLimits{}};
+
+    // 3000 entries over two tables is not a power of two per table:
+    // building the tenant's profiler would abort the daemon.
+    ProfilerConfig unbuildable = smallConfig();
+    unbuildable.totalHashEntries = 3000;
+    EXPECT_EQ(controller.vet(unbuildable, quotaAt(0)).code(),
+              StatusCode::InvalidArgument);
+
+    // 8-bit counters saturate at 255, below the 1M/1% threshold
+    // count of 10000: the profile would be silently empty.
+    ProfilerConfig narrow;
+    narrow.counterBits = 8;
+    narrow.intervalLength = 1'000'000;
+    narrow.candidateThreshold = 0.01;
+    EXPECT_EQ(controller.vet(narrow, quotaAt(0)).code(),
+              StatusCode::InvalidArgument);
+
+    // At 10K/1% the threshold count is 100: the same counters fit.
+    narrow.intervalLength = 10'000;
+    EXPECT_TRUE(controller.vet(narrow, quotaAt(0)).isOk());
+}
+
+TEST(AdmissionControl, UnbuildableHelloIsRefusedAndServiceKeepsServing)
+{
+    ServiceCore core{ServiceOptions{}};
+    WireTenantHello hello;
+    hello.kind = static_cast<uint8_t>(ProfileKind::Value);
+    hello.config = smallConfig();
+    hello.quota = quotaAt(1);
+
+    hello.tenant = "good";
+    const StatusOr<WireHelloAck> good = core.connectTenant(hello);
+    ASSERT_TRUE(good.isOk()) << good.status().toString();
+
+    hello.tenant = "bad";
+    hello.config.totalHashEntries = 3000;
+    const StatusOr<WireHelloAck> bad = core.connectTenant(hello);
+    EXPECT_EQ(bad.status().code(), StatusCode::InvalidArgument)
+        << bad.status().toString();
+    EXPECT_EQ(core.registry().byName("bad"), nullptr);
+
+    // The admitted tenant keeps streaming.
+    const std::vector<Tuple> batch(500, Tuple{1, 2});
+    const StatusOr<WireEventsAck> ack = core.ingest(
+        good->tenantId, 1, TupleSpan(batch.data(), batch.size()), 0);
+    ASSERT_TRUE(ack.isOk()) << ack.status().toString();
+    EXPECT_EQ(ack->accepted, batch.size());
 }
 
 TEST(AdmissionControl, MakeRoomShedsLowestPriorityYoungestFirst)

@@ -75,6 +75,21 @@ TEST(ServiceWire, HelloRoundTripsEveryField)
     EXPECT_EQ(back.quota.maxMemoryBytes, hello.quota.maxMemoryBytes);
 }
 
+TEST(ServiceWire, HelloBytesMatchRecordedLiteral)
+{
+    // The Hello (and with it the journal's admit records, which share
+    // its ProfilerConfig codec) must stay byte-stable across builds.
+    WireTenantHello hello;
+    hello.tenant = "pin";
+    hello.kind = static_cast<uint8_t>(ProfileKind::Edge);
+    hello.quota.priority = 2;
+    hello.quota.maxQueueEvents = 4096;
+    ByteBuffer out;
+    encodeHello(out, hello);
+    EXPECT_EQ(out.size(), 105u);
+    EXPECT_EQ(fnv1a64(out.data(), out.size()), 0xd3ed48ebf2e98c5dULL);
+}
+
 TEST(ServiceWire, HelloRejectsProtocolVersionMismatch)
 {
     WireTenantHello hello = sampleHello();

@@ -9,14 +9,14 @@ TOOLS="$1"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-SWEEP="$TOOLS/mhprof_run --benchmark=li --intervals=2 --seed=5 \
-    --entries=512 --sweep-lengths=500,600,700,800,900,1000 \
+SWEEP="$TOOLS/mhprof_coord --serial --benchmark=li --intervals=2 \
+    --seed=5 --entries=512 --sweep-lengths=500,600,700,800,900,1000 \
     --checkpoint=$TMP/sweep.mhpswp"
 
 # Uninterrupted reference (separate checkpoint so it cannot help the
 # interrupted run).
-$TOOLS/mhprof_run --benchmark=li --intervals=2 --seed=5 \
-    --entries=512 --sweep-lengths=500,600,700,800,900,1000 \
+$TOOLS/mhprof_coord --serial --benchmark=li --intervals=2 \
+    --seed=5 --entries=512 --sweep-lengths=500,600,700,800,900,1000 \
     --checkpoint="$TMP/ref.mhpswp" > "$TMP/ref.out"
 [ "$(wc -l < "$TMP/ref.out")" -eq 6 ] || {
     echo "FAIL: expected 6 sweep lines:"; cat "$TMP/ref.out"; exit 1; }

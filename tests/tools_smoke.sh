@@ -86,7 +86,7 @@ expect_reject "not a number" "$TOOLS/mhprof_faults" --benchmark=li \
 # --- exit codes and injected faults ----------------------------------
 # The contract (docs/ROBUSTNESS.md): 0 success, 1 usage/corrupt
 # input/IO, 2 profiles-differ (mhprof_compare), 3 quarantined cells
-# (mhprof_run sweeps), 128+N killed by signal N. Diagnostics go to
+# (mhprof_coord sweeps), 128+N killed by signal N. Diagnostics go to
 # stderr; stdout carries results only.
 
 # expect_exit <code> <tool args...>
@@ -100,6 +100,17 @@ expect_exit() {
         echo "FAIL: $* exited $got, expected $want:";
         cat "$TMP/err.out"; exit 1; }
 }
+
+# A profiler config that cannot run is a usage error with an
+# "invalid argument" diagnostic: refused before the unsigned cast or
+# the profiler build, never a fatal: abort or a wrapped-around length.
+for bad in --interval-length=-1 --entries=-1 --tables=3; do
+    expect_exit 1 "$TOOLS/mhprof_run" --benchmark=li "$bad"
+    grep -q "invalid argument" "$TMP/err.out" &&
+        ! grep -q "fatal:" "$TMP/err.out" || {
+        echo "FAIL: mhprof_run $bad diagnostic:";
+        cat "$TMP/err.out"; exit 1; }
+done
 
 # Malformed failpoint specs are usage errors in every tool.
 expect_exit 1 "$TOOLS/mhprof_run" --benchmark=li --failpoints='x='
@@ -134,8 +145,8 @@ expect_exit 2 "$TOOLS/mhprof_compare" "$TMP/li.mhp" "$TMP/gcc.mhp"
 
 # A sweep with a permanently failing cell: exactly exit 3, the
 # surviving cells still on stdout.
-expect_exit 3 "$TOOLS/mhprof_run" --benchmark=li --intervals=2 \
-    --entries=512 --sweep-lengths=1000,2000 --retries=0 \
+expect_exit 3 "$TOOLS/mhprof_coord" --serial --benchmark=li \
+    --intervals=2 --entries=512 --sweep-lengths=1000,2000 --retries=0 \
     --failpoints='sweep.cell.compute=1'
 grep -q "quarantined" "$TMP/err.out" || {
     echo "FAIL: quarantine diagnostic missing"; exit 1; }

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "analysis/snapshot_text.h"
+#include "profiler_flags.h"
 #include "service/service_wire.h"
 #include "trace/event_class.h"
 #include "support/cli.h"
@@ -427,14 +428,7 @@ main(int argc, char **argv)
     cli.addInt("events", 100'000,
                "events to stream (0 = query only, no Hello)");
     cli.addInt("batch", 4096, "events per Events frame");
-    cli.addInt("interval-length", 10'000, "events per interval");
-    cli.addDouble("threshold", 1.0, "candidate threshold in percent");
-    cli.addInt("tables", 4, "hash tables (1 = single-hash)");
-    cli.addInt("entries", 2048, "total hash-table entries");
-    cli.addBool("reset", false, "R1: reset counters on promotion");
-    cli.addBool("no-retain", false,
-                "P0: flush accumulator per interval");
-    cli.addBool("no-conservative", false, "C0: plain counter update");
+    addProfilerFlags(cli);
     cli.addInt("max-queue-events", 65536,
                "requested ingest-queue bound");
     cli.addInt("max-bytes-per-sec", 0,
@@ -550,17 +544,16 @@ main(int argc, char **argv)
     hello.tenant = tenantName;
     hello.kind = static_cast<uint8_t>(
         cli.getBool("edges") ? ProfileKind::Edge : ProfileKind::Value);
-    hello.config.intervalLength =
-        static_cast<uint64_t>(cli.getInt("interval-length"));
-    hello.config.candidateThreshold =
-        cli.getDouble("threshold") / 100.0;
-    hello.config.numHashTables =
-        static_cast<unsigned>(cli.getInt("tables"));
-    hello.config.totalHashEntries =
-        static_cast<uint64_t>(cli.getInt("entries"));
-    hello.config.resetOnPromote = cli.getBool("reset");
-    hello.config.retaining = !cli.getBool("no-retain");
-    hello.config.conservativeUpdate = !cli.getBool("no-conservative");
+    if (session.wantTenant) {
+        const StatusOr<ProfilerConfig> config =
+            profilerConfigFromFlags(cli);
+        if (!config.isOk()) {
+            std::fprintf(stderr, "mhprof_client: %s\n",
+                         config.status().toString().c_str());
+            return 1;
+        }
+        hello.config = *config;
+    }
     hello.quota.priority =
         static_cast<uint32_t>(cli.getInt("priority"));
     hello.quota.maxQueueEvents =

@@ -1,17 +1,21 @@
 /**
  * @file
- * mhprof_coord — coordinator of a distributed elastic sweep.
+ * mhprof_coord — the sweep command: evaluates one profiler
+ * configuration at each of --sweep-lengths through the resilient
+ * sweep executor. Failed cells are retried and then quarantined
+ * (reported on stderr and optionally to --quarantine-report),
+ * --checkpoint makes the sweep resumable, and SIGINT/SIGTERM stop it
+ * with the journal flushed, so a rerun resumes bit-identically.
  *
- * Takes the same workload/configuration/sweep flags as mhprof_run's
- * sweep mode, but executes the cells across worker processes: it
- * spawns --workers local mhprof_worker binaries (and/or accepts
- * externally started ones with --accept-external), shards the plan
- * into cell-range leases, steals work back from busy workers for
- * idle ones, declares silent workers dead and respawns them, and
- * journals every completed cell plus the lease trail to --checkpoint
- * so a kill -9 of the coordinator or any worker resumes
- * bit-identically. stdout is the same result table mhprof_run prints
- * (shared renderer), so
+ * --serial runs the cells in-process. Otherwise they run across
+ * worker processes: the coordinator spawns --workers local
+ * mhprof_worker binaries (and/or accepts externally started ones
+ * with --accept-external), shards the plan into cell-range leases,
+ * steals work back from busy workers for idle ones, declares silent
+ * workers dead and respawns them, and journals every completed cell
+ * plus the lease trail to --checkpoint so a kill -9 of the
+ * coordinator or any worker resumes bit-identically. stdout is the
+ * result table only, rendered by one printer for both engines, so
  *
  *   mhprof_coord --serial ...        # in-process reference
  *   mhprof_coord --workers=4 ...     # distributed
@@ -26,17 +30,18 @@
  * interrupted by signal N.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/sweep_distributed.h"
-#include "analysis/sweep_text.h"
-#include "core/factory.h"
+#include "profiler_flags.h"
 #include "support/cancel.h"
 #include "support/cli.h"
 #include "support/failpoint.h"
@@ -56,7 +61,11 @@ onSignal(int sig)
     gCancel.cancel();
 }
 
-/** Parse a comma-separated list of positive interval lengths. */
+/**
+ * Parse a comma-separated list of positive interval lengths.
+ * Duplicates are dropped (with a warning): a repeated length would
+ * silently double its sweep cells, skewing checkpoints and the table.
+ */
 bool
 parseLengths(const std::string &csv, std::vector<uint64_t> &lengths)
 {
@@ -71,13 +80,79 @@ parseLengths(const std::string &csv, std::vector<uint64_t> &lengths)
             const unsigned long long v = std::stoull(item, &used);
             if (used != item.size() || v == 0)
                 return false;
-            lengths.push_back(v);
+            if (std::find(lengths.begin(), lengths.end(), v) !=
+                lengths.end()) {
+                std::fprintf(stderr,
+                             "mhprof_coord: warning: duplicate sweep "
+                             "length %llu ignored\n",
+                             v);
+            } else {
+                lengths.push_back(v);
+            }
         } catch (...) {
             return false;
         }
         pos = comma + 1;
     }
     return !lengths.empty();
+}
+
+/** "mhprof_coord: quarantined cell N (...) after K attempts: ..." */
+void
+printQuarantineDiagnostics(const mhp::SweepReport &report)
+{
+    for (const mhp::QuarantinedCell &q : report.quarantined) {
+        std::fprintf(stderr,
+                     "mhprof_coord: quarantined cell %llu (%s %s "
+                     "len=%llu) after %u attempts: %s\n",
+                     static_cast<unsigned long long>(q.cellIndex),
+                     q.benchmark.c_str(), q.configLabel.c_str(),
+                     static_cast<unsigned long long>(q.intervalLength),
+                     q.attempts, q.status.toString().c_str());
+    }
+}
+
+/**
+ * The tab-separated quarantine report, one line per cell: index,
+ * benchmark, config, length, attempts, status.
+ */
+bool
+writeQuarantineReport(const std::string &path,
+                      const mhp::SweepReport &report)
+{
+    std::ofstream rep(path, std::ios::trunc);
+    for (const mhp::QuarantinedCell &q : report.quarantined) {
+        rep << q.cellIndex << '\t' << q.benchmark << '\t'
+            << q.configLabel << '\t' << q.intervalLength << '\t'
+            << q.attempts << '\t' << q.status.toString() << '\n';
+    }
+    return static_cast<bool>(rep);
+}
+
+/**
+ * The result table, one line per populated cell in cell order —
+ * bit-identical for any execution schedule, --serial or distributed.
+ * Returns true when a cell is missing (quarantined), i.e. exit 3.
+ */
+bool
+printSweepTable(const mhp::SweepReport &report)
+{
+    bool missing = false;
+    for (const mhp::SweepCellResult &r : report.results) {
+        if (r.run.profilerName.empty()) {
+            missing = true;
+            continue;
+        }
+        std::printf("%s %s len=%llu: %llu intervals, avg error "
+                    "%.4f%%, %.1f candidates/interval\n",
+                    r.benchmark.c_str(), r.configLabel.c_str(),
+                    static_cast<unsigned long long>(r.intervalLength),
+                    static_cast<unsigned long long>(
+                        r.intervalsCompleted),
+                    r.run.averageErrorPercent(),
+                    r.run.meanHardwareCandidates());
+    }
+    return missing;
 }
 
 } // namespace
@@ -92,18 +167,12 @@ main(int argc, char **argv)
                   "crash-resume (exit codes: 0 ok, 1 error, 3 "
                   "quarantined cells, 128+N signal)");
     cli.addString("benchmark", "", "suite benchmark to sweep");
-    cli.addBool("edges", false, "use the edge model (with --benchmark)");
+    addKindFlags(cli);
     cli.addString("trace", "", "input .mht trace (instead of a model)");
     cli.addString("sweep-lengths", "",
                   "comma-separated interval lengths (required)");
     cli.addInt("intervals", 10, "profile intervals per cell");
-    cli.addInt("interval-length", 10'000, "events per interval");
-    cli.addDouble("threshold", 1.0, "candidate threshold in percent");
-    cli.addInt("tables", 4, "hash tables (1 = single-hash)");
-    cli.addInt("entries", 2048, "total hash-table entries");
-    cli.addBool("reset", false, "R1: reset counters on promotion");
-    cli.addBool("no-retain", false, "P0: flush accumulator per interval");
-    cli.addBool("no-conservative", false, "C0: plain counter update");
+    addProfilerFlags(cli);
     cli.addInt("seed", 1, "workload seed");
     cli.addInt("workers", 2, "worker processes to spawn");
     cli.addBool("accept-external", false,
@@ -126,8 +195,8 @@ main(int argc, char **argv)
                 "stdout, same checkpoint format)");
     cli.addInt("threads", 0, "worker threads in --serial mode");
     cli.addString("checkpoint", "",
-                  "checkpoint journal (resumable; shared with "
-                  "mhprof_run --checkpoint)");
+                  "checkpoint journal (resumable; --serial and "
+                  "distributed runs share it)");
     cli.addInt("retries", 2,
                "retries per failing cell before quarantine");
     cli.addInt("cell-deadline-ms", 0,
@@ -173,18 +242,10 @@ main(int argc, char **argv)
         }
     }
 
-    ProfilerConfig cfg;
-    cfg.intervalLength =
-        static_cast<uint64_t>(cli.getInt("interval-length"));
-    cfg.candidateThreshold = cli.getDouble("threshold") / 100.0;
-    cfg.numHashTables = static_cast<unsigned>(cli.getInt("tables"));
-    cfg.totalHashEntries = static_cast<uint64_t>(cli.getInt("entries"));
-    cfg.resetOnPromote = cli.getBool("reset");
-    cfg.retaining = !cli.getBool("no-retain");
-    cfg.conservativeUpdate = !cli.getBool("no-conservative");
-    if (const Status bad = cfg.check(); !bad.isOk()) {
+    const StatusOr<ProfilerConfig> cfg = profilerConfigFromFlags(cli);
+    if (!cfg.isOk()) {
         std::fprintf(stderr, "mhprof_coord: %s\n",
-                     bad.toString().c_str());
+                     cfg.status().toString().c_str());
         return 1;
     }
 
@@ -209,15 +270,20 @@ main(int argc, char **argv)
         plan.trace = std::move(*mapped);
     } else if (isBenchmarkName(bench)) {
         plan.benchmarks.push_back(bench);
-        plan.kind = cli.getBool("edges") ? ProfileKind::Edge
-                                         : ProfileKind::Value;
+        const StatusOr<ProfileKind> kind = workloadKindFromFlags(cli);
+        if (!kind.isOk()) {
+            std::fprintf(stderr, "mhprof_coord: %s\n",
+                         kind.status().toString().c_str());
+            return 1;
+        }
+        plan.kind = *kind;
     } else {
         std::fprintf(stderr,
                      "mhprof_coord: needs --trace=<file> or a valid "
                      "--benchmark\n");
         return 1;
     }
-    plan.configs.push_back({cfg.describe(), cfg});
+    plan.configs.push_back({cfg->describe(), *cfg});
     plan.intervalLengths = lengths;
     plan.intervals = static_cast<uint64_t>(cli.getInt("intervals"));
     plan.workloadSeed = static_cast<uint64_t>(cli.getInt("seed"));
@@ -276,7 +342,7 @@ main(int argc, char **argv)
     }
     const SweepReport &report = *swept;
 
-    printQuarantineDiagnostics("mhprof_coord", report);
+    printQuarantineDiagnostics(report);
     const std::string reportPath = cli.getString("quarantine-report");
     if (!reportPath.empty() &&
         !writeQuarantineReport(reportPath, report)) {
@@ -289,11 +355,12 @@ main(int argc, char **argv)
         const int sig = gSignal.load(std::memory_order_relaxed);
         std::fprintf(stderr,
                      "mhprof_coord: interrupted by signal %d after "
-                     "%llu cells; checkpoint%s flushed — rerun the "
-                     "same command to resume\n",
+                     "%llu of %zu cells; checkpoint%s flushed — rerun "
+                     "the same command to resume\n",
                      sig,
                      static_cast<unsigned long long>(
                          report.completedCells),
+                     report.results.size(),
                      resilience.checkpointPath.empty() ? " (none)"
                                                        : "");
         return sig > 0 ? 128 + sig : 130;

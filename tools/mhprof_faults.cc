@@ -169,7 +169,7 @@ main(int argc, char **argv)
     single.totalHashEntries = multi.totalHashEntries =
         static_cast<uint64_t>(cli.getInt("entries"));
     for (const ProfilerConfig *cfg : {&single, &multi}) {
-        if (const Status bad = cfg->check(); !bad.isOk()) {
+        if (const Status bad = cfg->checkAtEdge(); !bad.isOk()) {
             std::fprintf(stderr, "mhprof_faults: %s\n",
                          bad.toString().c_str());
             return 1;

@@ -120,6 +120,13 @@ main(int argc, char **argv)
         std::fprintf(stderr, "mhprof_pgo: --configs is empty\n");
         return 1;
     }
+    for (const SweepConfig &config : options.configs) {
+        if (const Status bad = config.config.checkAtEdge(); !bad.isOk()) {
+            std::fprintf(stderr, "mhprof_pgo: %s: %s\n",
+                         config.label.c_str(), bad.toString().c_str());
+            return 1;
+        }
+    }
 
     const PgoPipeline pipeline(options);
     const PgoReport report = pipeline.run();
