@@ -75,8 +75,9 @@ main()
             makeProfiler(bestMultiHashConfig(interval_length, 0.01));
 
         auto workload = makeValueWorkload(name);
-        const RunOutput out = runIntervals(
-            *workload,
+        EventSourceCursor cursor(*workload);
+        const RunOutput out = runIntervalsStream(
+            cursor,
             {&plain, &tagged, &sampler, &hotspot, &tvpt, &coproc,
              multihash.get()},
             interval_length, threshold, intervals);

@@ -116,11 +116,12 @@ runBenchmarkConfigs(const std::string &benchmark, bool edges,
     else
         source = makeValueWorkload(benchmark);
 
-    // Batched adapter of the streaming core: one virtual dispatch per
-    // block instead of per event, scores bit-identical to the
-    // per-event run (the onEvents == onEvent contract).
-    const RunOutput out =
-        runIntervals(*source, raw, interval_length, threshold, intervals);
+    // Blocks of 4096 events: one virtual dispatch per block instead of
+    // per event, scores bit-identical to the per-event run (the
+    // onEvents == onEvent contract).
+    EventSourceCursor cursor(*source);
+    const RunOutput out = runIntervalsStream(cursor, raw, interval_length,
+                                             threshold, intervals);
 
     std::vector<SweepRow> rows;
     rows.reserve(configs.size());

@@ -41,9 +41,10 @@ runPanel(const mhp::ProfilerConfig &cfg, uint64_t intervals,
     parallelFor(names.size(), [&](size_t i) {
         auto workload = makeValueWorkload(names[i]);
         auto profiler = makeProfiler(cfg);
-        const RunOutput out =
-            runIntervals(*workload, {profiler.get()}, cfg.intervalLength,
-                         cfg.thresholdCount(), intervals);
+        EventSourceCursor cursor(*workload);
+        const RunOutput out = runIntervalsStream(
+            cursor, {profiler.get()}, cfg.intervalLength,
+            cfg.thresholdCount(), intervals);
         std::vector<double> errs;
         for (const auto &score : out.results[0].intervals)
             errs.push_back(score.breakdown.total() * 100.0);

@@ -41,9 +41,9 @@ runCfgWalk(const std::vector<mhp::bench::LabelledConfig> &configs,
         profilers.push_back(makeProfiler(lc.config));
         raw.push_back(profilers.back().get());
     }
-    const RunOutput out =
-        runIntervals(workload, raw, intervalLength, threshold,
-                     intervals);
+    EventSourceCursor cursor(workload);
+    const RunOutput out = runIntervalsStream(cursor, raw, intervalLength,
+                                             threshold, intervals);
     std::vector<bench::SweepRow> rows;
     for (size_t i = 0; i < configs.size(); ++i) {
         bench::SweepRow row;

@@ -12,57 +12,14 @@
 
 #include <cstdio>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
+#include "core/candidate_variation.h"
 #include "core/factory.h"
 #include "support/cli.h"
 #include "workload/benchmarks.h"
 
-namespace {
-
 using namespace mhp;
-
-/** Variation (Jaccard distance, %) between consecutive snapshots. */
-class VariationTracker
-{
-  public:
-    double
-    update(const IntervalSnapshot &snap)
-    {
-        std::unordered_set<Tuple, TupleHash> cur;
-        for (const auto &cand : snap)
-            cur.insert(cand.tuple);
-        double variation = 0.0;
-        if (started && !(prev.empty() && cur.empty())) {
-            uint64_t inter = 0;
-            for (const auto &t : cur)
-                inter += prev.count(t);
-            const uint64_t uni = prev.size() + cur.size() - inter;
-            variation = 100.0 * (1.0 - static_cast<double>(inter) /
-                                           static_cast<double>(uni));
-        }
-        prev = std::move(cur);
-        started = true;
-        sum += variation;
-        ++samples;
-        return variation;
-    }
-
-    double
-    mean() const
-    {
-        return samples <= 1 ? 0.0 : sum / static_cast<double>(samples - 1);
-    }
-
-  private:
-    std::unordered_set<Tuple, TupleHash> prev;
-    bool started = false;
-    double sum = 0.0;
-    uint64_t samples = 0;
-};
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -76,7 +33,10 @@ main(int argc, char **argv)
     const std::vector<uint64_t> lengths = {10'000, 50'000, 200'000,
                                            1'000'000};
     std::vector<std::unique_ptr<HardwareProfiler>> profilers;
-    std::vector<VariationTracker> trackers(lengths.size());
+    std::vector<CandidateVariation> trackers(lengths.size());
+    // Sum and count of the variations measured at each length.
+    std::vector<double> sums(lengths.size(), 0.0);
+    std::vector<uint64_t> pairs(lengths.size(), 0);
     for (const uint64_t len : lengths) {
         // Keep the absolute candidate bar comparable: 1% of 10K (100
         // occurrences) at every length.
@@ -95,8 +55,13 @@ main(int argc, char **argv)
         const Tuple t = workload->next();
         for (size_t k = 0; k < lengths.size(); ++k) {
             profilers[k]->onEvent(t);
-            if (i % lengths[k] == 0)
-                trackers[k].update(profilers[k]->endInterval());
+            if (i % lengths[k] != 0)
+                continue;
+            const IntervalSnapshot snap = profilers[k]->endInterval();
+            if (const std::optional<double> v = trackers[k].next(snap)) {
+                sums[k] += *v;
+                ++pairs[k];
+            }
         }
     }
 
@@ -104,10 +69,11 @@ main(int argc, char **argv)
     size_t chosen = 0;
     const double target = cli.getDouble("target");
     for (size_t k = 0; k < lengths.size(); ++k) {
+        const double mean =
+            pairs[k] == 0 ? 0.0 : sums[k] / static_cast<double>(pairs[k]);
         std::printf("%-12llu %-18.1f\n",
-                    static_cast<unsigned long long>(lengths[k]),
-                    trackers[k].mean());
-        if (trackers[k].mean() <= target)
+                    static_cast<unsigned long long>(lengths[k]), mean);
+        if (mean <= target)
             chosen = k; // longest stable length wins
     }
     std::printf("\nchosen interval length: %llu events (longest whose "

@@ -58,9 +58,10 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(profiler->areaBytes()));
 
     // Score against the perfect profiler as the paper does.
+    EventSourceCursor cursor(*probe);
     const RunOutput out =
-        runIntervals(*probe, {profiler.get()}, config.intervalLength,
-                     config.thresholdCount(), intervals);
+        runIntervalsStream(cursor, {profiler.get()}, config.intervalLength,
+                           config.thresholdCount(), intervals);
 
     for (size_t iv = 0; iv < out.results[0].intervals.size(); ++iv) {
         const IntervalScore &s = out.results[0].intervals[iv];

@@ -59,9 +59,10 @@ main(int argc, char **argv)
             std::exit(1);
         }
         auto profiler = makeProfiler(cfg);
+        EventSourceCursor cursor(**reader);
         const RunOutput out =
-            runIntervals(**reader, {profiler.get()}, interval_length,
-                         cfg.thresholdCount(), intervals);
+            runIntervalsStream(cursor, {profiler.get()}, interval_length,
+                               cfg.thresholdCount(), intervals);
         std::printf("  %-10s error %.2f%% (FP %.2f%%, FN %.2f%%), "
                     "%.1f candidates/interval\n",
                     profiler->name().c_str(),

@@ -1,36 +1,12 @@
 #include "analysis/candidate_stats.h"
 
 #include <algorithm>
-#include <unordered_set>
 
+#include "core/candidate_variation.h"
 #include "core/perfect_profiler.h"
 #include "support/panic.h"
-#include "trace/tuple.h"
 
 namespace mhp {
-
-namespace {
-
-using TupleSet = std::unordered_set<Tuple, TupleHash>;
-
-/** Jaccard distance between candidate sets, in percent. */
-double
-variationPercent(const TupleSet &prev, const TupleSet &cur)
-{
-    if (prev.empty() && cur.empty())
-        return 0.0;
-    uint64_t intersection = 0;
-    for (const auto &t : cur) {
-        if (prev.count(t))
-            ++intersection;
-    }
-    const uint64_t unions = prev.size() + cur.size() - intersection;
-    return 100.0 *
-           (1.0 - static_cast<double>(intersection) /
-                      static_cast<double>(unions));
-}
-
-} // namespace
 
 double
 CandidateAnalysis::variationQuantile(double q) const
@@ -59,8 +35,7 @@ analyzeCandidates(EventSource &source, uint64_t intervalLength,
 
     CandidateAnalysis out;
     PerfectProfiler perfect(thresholdCount);
-    TupleSet prev;
-    bool have_prev = false;
+    CandidateVariation variation;
 
     for (uint64_t interval = 0; interval < numIntervals; ++interval) {
         uint64_t consumed = 0;
@@ -76,14 +51,8 @@ analyzeCandidates(EventSource &source, uint64_t intervalLength,
         const IntervalSnapshot snap = perfect.endInterval();
         out.candidatesPerInterval.add(static_cast<double>(snap.size()));
 
-        TupleSet cur;
-        cur.reserve(snap.size() * 2);
-        for (const auto &cand : snap)
-            cur.insert(cand.tuple);
-        if (have_prev)
-            out.variations.push_back(variationPercent(prev, cur));
-        prev = std::move(cur);
-        have_prev = true;
+        if (const std::optional<double> v = variation.next(snap))
+            out.variations.push_back(*v);
         ++out.intervalsCompleted;
     }
     return out;

@@ -82,7 +82,7 @@ runIntervalsStream(StreamCursor &stream,
         MHP_REQUIRE(profilers[i] != nullptr, "null profiler");
         out.results[i].profilerName = profilers[i]->name();
     }
-    PerfectProfiler perfect(options.score ? thresholdCount : 1);
+    PerfectProfiler perfect(thresholdCount);
 
     for (uint64_t interval = 0; interval < numIntervals; ++interval) {
         // Cooperative stops land only on interval boundaries, so every
@@ -109,8 +109,7 @@ runIntervalsStream(StreamCursor &stream,
                 stream.take(static_cast<size_t>(want));
             if (chunk.empty())
                 break;
-            if (options.score)
-                perfect.onEvents(chunk.data(), chunk.size());
+            perfect.onEvents(chunk.data(), chunk.size());
             for (auto *profiler : profilers)
                 profiler->onEvents(chunk.data(), chunk.size());
             consumed += chunk.size();
@@ -119,42 +118,18 @@ runIntervalsStream(StreamCursor &stream,
         if (consumed < intervalLength)
             break; // stream ran dry: discard the partial interval
 
-        if (options.score) {
-            const auto truth = perfect.takeCounts();
-            out.stream.distinctTuples.push_back(truth.size());
-            for (size_t i = 0; i < profilers.size(); ++i) {
-                IntervalSnapshot snap = profilers[i]->endInterval();
-                out.results[i].intervals.push_back(
-                    scoreInterval(truth, snap, thresholdCount));
-                if (options.keepSnapshots)
-                    out.snapshots[i].push_back(std::move(snap));
-            }
-        } else {
-            for (size_t i = 0; i < profilers.size(); ++i) {
-                IntervalSnapshot snap = profilers[i]->endInterval();
-                if (options.keepSnapshots)
-                    out.snapshots[i].push_back(std::move(snap));
-            }
+        const auto truth = perfect.takeCounts();
+        out.stream.distinctTuples.push_back(truth.size());
+        for (size_t i = 0; i < profilers.size(); ++i) {
+            IntervalSnapshot snap = profilers[i]->endInterval();
+            out.results[i].intervals.push_back(
+                scoreInterval(truth, snap, thresholdCount));
+            if (options.keepSnapshots)
+                out.snapshots[i].push_back(std::move(snap));
         }
         ++out.intervalsCompleted;
     }
     return out;
-}
-
-RunOutput
-runIntervals(EventSource &source,
-             const std::vector<HardwareProfiler *> &profilers,
-             uint64_t intervalLength, uint64_t thresholdCount,
-             uint64_t numIntervals, uint64_t batchSize)
-{
-    MHP_REQUIRE(batchSize > 0, "batchSize must be positive");
-    EventSourceCursor cursor(
-        source,
-        static_cast<size_t>(std::min(batchSize, intervalLength)));
-    StreamRunOptions options;
-    options.batchSize = batchSize;
-    return runIntervalsStream(cursor, profilers, intervalLength,
-                              thresholdCount, numIntervals, options);
 }
 
 RunOutput
@@ -194,23 +169,22 @@ runIntervalsSpan(TupleSpan stream,
     }
 
     // Phase 1 — ingest: each profiler walks its whole timeline on one
-    // worker, through the streaming core in ingest-only mode (scoring
-    // is deferred to phase 2). Profilers share no mutable state and
-    // every cursor is a zero-copy view of the same span.
+    // worker in batchSize blocks clipped to interval boundaries
+    // (scoring is deferred to phase 2). Profilers share no mutable
+    // state and all of them read the same span.
     parallelFor(
         profilers.size(),
         [&](size_t p) {
-            TupleSpanSource cursor(
-                stream.first(intervals * intervalLength));
-            StreamRunOptions ingest;
-            ingest.batchSize = options.batchSize;
-            ingest.keepSnapshots = true;
-            ingest.score = false;
-            std::vector<HardwareProfiler *> one{profilers[p]};
-            RunOutput sub =
-                runIntervalsStream(cursor, one, intervalLength,
-                                   thresholdCount, intervals, ingest);
-            snapshots[p] = std::move(sub.snapshots[0]);
+            for (uint64_t k = 0; k < intervals; ++k) {
+                const Tuple *events = stream.data() + k * intervalLength;
+                for (uint64_t at = 0; at < intervalLength;
+                     at += options.batchSize) {
+                    profilers[p]->onEvents(
+                        events + at, std::min(options.batchSize,
+                                              intervalLength - at));
+                }
+                snapshots[p][k] = profilers[p]->endInterval();
+            }
         },
         options.threads, /*grain=*/1);
 

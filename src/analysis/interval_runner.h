@@ -8,13 +8,14 @@
  * which is how the benches sweep Figure 7/10/11/12 design spaces
  * efficiently and with identical inputs per configuration.
  *
- * Three runners, one engine: runIntervalsStream() pulls contiguous
- * blocks from a StreamCursor, clips them to interval boundaries, feeds
- * every profiler through onEvents() in O(chunk) memory, and scores each
- * interval inline as it closes. runIntervals() adapts an EventSource
- * onto it; runIntervalsSpan() runs an in-memory span with parallel
- * ingest and scoring phases. Every path produces bit-identical scores
- * and snapshots (asserted by tests). See docs/STREAMING.md.
+ * Two runners, one interval contract: runIntervalsStream() pulls
+ * contiguous blocks from a StreamCursor, clips them to interval
+ * boundaries, feeds every profiler through onEvents() in O(chunk)
+ * memory, and scores each interval inline as it closes;
+ * runIntervalsSpan() runs an in-memory span with parallel ingest and
+ * scoring phases. An EventSource runs through runIntervalsStream()
+ * over an EventSourceCursor. Both produce bit-identical scores and
+ * snapshots (asserted by tests). See docs/STREAMING.md.
  */
 
 #ifndef MHP_ANALYSIS_INTERVAL_RUNNER_H
@@ -109,13 +110,6 @@ struct StreamRunOptions
     bool keepSnapshots = false;
 
     /**
-     * Build the perfect profile and score every interval. Disable to
-     * run ingest only (snapshots, event counts) — the span runner's
-     * parallel scoring phase rebuilds truth separately.
-     */
-    bool score = true;
-
-    /**
      * Optional cooperative stop: checked before every interval (not
      * owned). When it trips, the run returns what it completed with
      * RunOutput::stopped == Cancelled.
@@ -135,10 +129,12 @@ struct StreamRunOptions
  * options.batchSize events from the cursor, never crossing an
  * interval boundary, and feeds each block to every profiler via
  * onEvents(); at each interval end the profilers' snapshots are
- * scored inline against a perfect profile of the same events (unless
- * options.score is off). Peak memory is
- * O(batchSize) plus whatever the cursor itself holds — a zero-copy
- * cursor (TupleSpanSource, TraceMapSource) adds nothing.
+ * scored inline against a perfect profile of the same events. Peak
+ * memory is O(batchSize) plus whatever the cursor itself holds — a
+ * zero-copy cursor (TupleSpanSource, TraceMapSource) adds nothing; an
+ * EventSourceCursor stages up to its capacity and pulls only what
+ * each take() asks for, so the source is left exactly after the last
+ * consumed event.
  *
  * A trailing partial interval (stream runs dry before numIntervals *
  * intervalLength events) is consumed but discarded.
@@ -148,28 +144,6 @@ RunOutput runIntervalsStream(
     const std::vector<HardwareProfiler *> &profilers,
     uint64_t intervalLength, uint64_t thresholdCount,
     uint64_t numIntervals, const StreamRunOptions &options = {});
-
-/**
- * Run an EventSource through every profiler for a number of intervals:
- * runIntervalsStream() over an EventSourceCursor that stages events
- * in blocks of batchSize, so each profiler pays one virtual dispatch
- * per block instead of per event. Memory use is O(batchSize),
- * independent of the stream length. The cursor pulls only what each
- * interval needs, so the source is left exactly after the last
- * consumed event.
- *
- * @param source The event stream (consumed).
- * @param profilers The hardware profilers under test (not owned).
- * @param intervalLength Events per profile interval.
- * @param thresholdCount Candidate threshold in occurrences.
- * @param numIntervals Intervals to execute; a finite source may end
- *        the run early (partial final intervals are discarded).
- * @param batchSize Events per onEvents() block.
- */
-RunOutput runIntervals(EventSource &source,
-                       const std::vector<HardwareProfiler *> &profilers,
-                       uint64_t intervalLength, uint64_t thresholdCount,
-                       uint64_t numIntervals, uint64_t batchSize = 4096);
 
 /** Knobs of the in-memory parallel runner. */
 struct BatchedRunOptions

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <utility>
 
@@ -21,15 +20,6 @@
 namespace mhp {
 
 namespace {
-
-/** Milliseconds on the steady clock (watchdog bookkeeping). */
-int64_t
-steadyNowMs()
-{
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /**
  * Backoff before retrying `cell` after failed attempt `attempt`:
@@ -186,9 +176,8 @@ SweepRunner::computeCellStream(size_t cell, SweepCellResult &result,
                 makeValueWorkload(result.benchmark, plan.workloadSeed);
             break;
         }
-        // Mirror runIntervals() exactly (cursor capacity clipped to
-        // one interval) so results stay bit-identical to existing
-        // checkpoints.
+        // Every take() asks for at most min(batchSize, interval
+        // length) events, so this capacity never changes the chunking.
         cursor = std::make_unique<EventSourceCursor>(
             *workload,
             static_cast<size_t>(
@@ -213,8 +202,7 @@ SweepRunner::computeCellStream(size_t cell, SweepCellResult &result,
 
 CellOutcome
 SweepRunner::runCellResilient(
-    uint64_t cell, const SweepResilienceOptions &options,
-    const std::function<void(bool running)> &attemptMark) const
+    uint64_t cell, const SweepResilienceOptions &options) const
 {
     MHP_REQUIRE(options.maxAttempts >= 1,
                 "resilient cell needs at least one attempt");
@@ -229,8 +217,6 @@ SweepRunner::runCellResilient(
                 "cell " + std::to_string(cell) + " cancelled");
             return outcome;
         }
-        if (attemptMark)
-            attemptMark(true);
         // An injected slowdown spends the attempt's deadline budget,
         // so whether the deadline trips is still a pure function of
         // (spec, seed, cell, attempt) — the sleep models a slow cell,
@@ -262,8 +248,6 @@ SweepRunner::runCellResilient(
             const RunStopReason stop = computeCellStream(
                 cell, result, options.cancel, deadlineMs);
             if (stop == RunStopReason::Cancelled) {
-                if (attemptMark)
-                    attemptMark(false);
                 outcome.cancelled = true;
                 outcome.attempts = attempt;
                 outcome.status = Status::cancelled(
@@ -279,8 +263,6 @@ SweepRunner::runCellResilient(
                 outcome.result = std::move(result);
             }
         }
-        if (attemptMark)
-            attemptMark(false);
 
         if (st.isOk()) {
             outcome.status = Status::ok();
@@ -349,38 +331,6 @@ SweepRunner::runResilient(const SweepResilienceOptions &options) const
     std::atomic<bool> interrupted{false};
     std::atomic<uint64_t> completed{0};
 
-    // Watchdog: per-cell attempt start times (−1 = not running) that
-    // a polling thread compares against the deadline. It only ever
-    // *flags* cells — enforcement stays inside the cell at interval
-    // boundaries, where it is deterministic.
-    const bool watch =
-        options.watchdogPollMs > 0 && options.cellDeadlineMs > 0;
-    std::vector<std::atomic<int64_t>> attemptStartMs(watch ? cells : 0);
-    for (auto &start : attemptStartMs)
-        start.store(-1, std::memory_order_relaxed);
-    std::set<uint64_t> flagged;
-    std::atomic<bool> watchdogStop{false};
-    std::thread watchdog;
-    if (watch) {
-        watchdog = std::thread([&] {
-            while (!watchdogStop.load(std::memory_order_relaxed)) {
-                const int64_t now = steadyNowMs();
-                for (size_t i = 0; i < cells; ++i) {
-                    const int64_t start = attemptStartMs[i].load(
-                        std::memory_order_relaxed);
-                    if (start >= 0 &&
-                        now - start > static_cast<int64_t>(
-                                          options.cellDeadlineMs)) {
-                        std::lock_guard<std::mutex> lock(reportMutex);
-                        flagged.insert(i);
-                    }
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(options.watchdogPollMs));
-            }
-        });
-    }
-
     parallelFor(
         cells,
         [&](size_t cell) {
@@ -391,16 +341,7 @@ SweepRunner::runResilient(const SweepResilienceOptions &options) const
                 return;
             }
 
-            const std::function<void(bool)> mark =
-                watch ? std::function<void(bool)>([&, cell](
-                            bool running) {
-                      attemptStartMs[cell].store(
-                          running ? steadyNowMs() : -1,
-                          std::memory_order_relaxed);
-                  })
-                      : std::function<void(bool)>();
-            CellOutcome outcome =
-                runCellResilient(cell, options, mark);
+            CellOutcome outcome = runCellResilient(cell, options);
             if (outcome.cancelled) {
                 interrupted.store(true, std::memory_order_relaxed);
                 return;
@@ -429,12 +370,6 @@ SweepRunner::runResilient(const SweepResilienceOptions &options) const
             report.quarantined.push_back(std::move(q));
         },
         options.threads, /*grain=*/1);
-
-    if (watch) {
-        watchdogStop.store(true, std::memory_order_relaxed);
-        watchdog.join();
-        report.deadlineFlagged.assign(flagged.begin(), flagged.end());
-    }
 
     // parallelFor's schedule decided the push order; the content is
     // schedule-independent, so sorting restores determinism.

@@ -30,7 +30,6 @@
 #define MHP_ANALYSIS_SWEEP_RUNNER_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -149,14 +148,6 @@ struct SweepReport
     /** Cells that failed every attempt, sorted by cellIndex. */
     std::vector<QuarantinedCell> quarantined;
 
-    /**
-     * Cells the watchdog saw exceed the deadline while still running.
-     * Advisory only (it depends on real time and scheduling), so it is
-     * deliberately excluded from determinism guarantees — quarantine
-     * decisions never come from here.
-     */
-    std::vector<uint64_t> deadlineFlagged;
-
     /** True when the CancelToken stopped the sweep early. */
     bool interrupted = false;
 
@@ -204,13 +195,6 @@ struct SweepResilienceOptions
      * retries them.
      */
     std::string checkpointPath;
-
-    /**
-     * Poll period of the watchdog thread that flags cells exceeding
-     * cellDeadlineMs while still running; 0 = no watchdog. Purely
-     * advisory (see SweepReport::deadlineFlagged).
-     */
-    uint64_t watchdogPollMs = 0;
 };
 
 /**
@@ -273,14 +257,11 @@ class SweepRunner
      * what makes a distributed worker's successes, failures, and
      * quarantine statuses bit-identical to the in-process engine's
      * (the distributed executor in sweep_distributed.h is built on
-     * this). `attemptMark(true/false)` brackets each attempt for
-     * watchdog bookkeeping; pass an empty function when unused.
-     * Checkpointing and thread scheduling are the caller's business.
+     * this). Checkpointing and thread scheduling are the caller's
+     * business.
      */
     CellOutcome runCellResilient(
-        uint64_t cell, const SweepResilienceOptions &options,
-        const std::function<void(bool running)> &attemptMark =
-            {}) const;
+        uint64_t cell, const SweepResilienceOptions &options) const;
 
     /** Build the quarantine row for a cell that failed every attempt. */
     QuarantinedCell quarantineFor(uint64_t cell, unsigned attempts,

@@ -23,28 +23,10 @@ AdaptiveIntervalController::AdaptiveIntervalController(
 uint64_t
 AdaptiveIntervalController::onIntervalEnd(const IntervalSnapshot &snapshot)
 {
-    std::unordered_set<Tuple, TupleHash> cur;
-    cur.reserve(snapshot.size() * 2);
-    for (const auto &cand : snapshot)
-        cur.insert(cand.tuple);
-
-    if (!havePrev) {
-        prev = std::move(cur);
-        havePrev = true;
+    const std::optional<double> measured = tracker.next(snapshot);
+    if (!measured)
         return length;
-    }
-
-    if (prev.empty() && cur.empty()) {
-        variation = 0.0;
-    } else {
-        uint64_t inter = 0;
-        for (const auto &t : cur)
-            inter += prev.count(t);
-        const uint64_t uni = prev.size() + cur.size() - inter;
-        variation = 100.0 * (1.0 - static_cast<double>(inter) /
-                                       static_cast<double>(uni));
-    }
-    prev = std::move(cur);
+    variation = *measured;
 
     if (variation < config.growBelowPercent) {
         ++growStreak;
@@ -62,13 +44,13 @@ AdaptiveIntervalController::onIntervalEnd(const IntervalSnapshot &snapshot)
         length = std::min(length * 2, config.maxLength);
         ++changeCount;
         growStreak = 0;
-        havePrev = false; // don't compare across a length change
+        tracker.restart(); // don't compare across a length change
     } else if (shrinkStreak >= config.holdIntervals &&
                length > config.minLength) {
         length = std::max(length / 2, config.minLength);
         ++changeCount;
         shrinkStreak = 0;
-        havePrev = false;
+        tracker.restart();
     }
     return length;
 }

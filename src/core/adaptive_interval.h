@@ -18,10 +18,9 @@
 #define MHP_CORE_ADAPTIVE_INTERVAL_H
 
 #include <cstdint>
-#include <unordered_set>
 
+#include "core/candidate_variation.h"
 #include "core/profiler.h"
-#include "trace/tuple.h"
 
 namespace mhp {
 
@@ -74,8 +73,7 @@ class AdaptiveIntervalController
   private:
     AdaptiveIntervalConfig config;
     uint64_t length;
-    std::unordered_set<Tuple, TupleHash> prev;
-    bool havePrev = false;
+    CandidateVariation tracker;
     double variation = 0.0;
     unsigned growStreak = 0;
     unsigned shrinkStreak = 0;

@@ -30,6 +30,14 @@ namespace mhp {
 class ByteBuffer;
 class ByteCursor;
 
+/**
+ * Largest accumulator a config may ask for: 2^20 entries, 1000x the
+ * paper's largest (1000 entries at a 0.1% threshold). A smaller
+ * threshold derives a bigger accumulator, and ProfilerConfig::check()
+ * refuses it before anything allocates.
+ */
+inline constexpr uint64_t kMaxAccumulatorEntries = uint64_t{1} << 20;
+
 /** All knobs of a single- or multi-hash profiler instance. */
 struct ProfilerConfig
 {
@@ -92,14 +100,19 @@ struct ProfilerConfig
         return count == 0 ? 1 : count;
     }
 
-    /** Effective accumulator capacity (the Section 5.1 bound). */
+    /**
+     * Effective accumulator capacity (the Section 5.1 bound); saturates
+     * at UINT64_MAX when ceil(1 / candidateThreshold) does not fit.
+     */
     uint64_t
     accumulatorSize() const
     {
         if (accumulatorEntries != 0)
             return accumulatorEntries;
-        const auto bound =
-            static_cast<uint64_t>(std::ceil(1.0 / candidateThreshold));
+        const double derived = std::ceil(1.0 / candidateThreshold);
+        if (!(derived < 0x1p64))
+            return UINT64_MAX;
+        const auto bound = static_cast<uint64_t>(derived);
         return bound == 0 ? 1 : bound;
     }
 
@@ -112,8 +125,9 @@ struct ProfilerConfig
 
     /**
      * Validate the configuration; an InvalidArgument Status names the
-     * offending knob. Refuses exactly what constructing a profiler
-     * would abort on, so a config that passes always builds. This is
+     * offending knob. Refuses what constructing a profiler would
+     * abort on and accumulators above kMaxAccumulatorEntries, so a
+     * config that passes always builds in bounded memory. This is
      * the path for untrusted configs (decoded plans, journals);
      * internal callers with trusted configs can keep using
      * validate().
@@ -141,6 +155,12 @@ struct ProfilerConfig
                 "hash-table entries exceed 32-bit indexing");
         if (counterBits < 1 || counterBits > 64)
             return Status::invalidArgument("counterBits out of range");
+        if (accumulatorSize() > kMaxAccumulatorEntries)
+            return Status::invalidArgument(
+                "a " + std::to_string(accumulatorSize()) +
+                "-entry accumulator exceeds the " +
+                std::to_string(kMaxAccumulatorEntries) +
+                "-entry bound (raise candidateThreshold)");
         return Status::ok();
     }
 

@@ -33,16 +33,6 @@ CounterTable::CounterTable(uint64_t *storage, uint64_t entries,
     std::fill_n(counts, numEntries, 0);
 }
 
-uint64_t
-CounterTable::increment(uint64_t index)
-{
-    MHP_ASSERT(index < numEntries, "counter index out of range");
-    uint64_t &c = counts[index];
-    if (c < saturation)
-        ++c;
-    return c;
-}
-
 void
 CounterTable::flipBit(uint64_t index, unsigned bit)
 {
@@ -91,17 +81,6 @@ CounterTable::loadState(ByteCursor &in)
         counts[i] = v;
     }
     return Status::ok();
-}
-
-uint64_t
-CounterTable::countAtLeast(uint64_t value) const
-{
-    uint64_t n = 0;
-    for (uint64_t i = 0; i < numEntries; ++i) {
-        if (counts[i] >= value)
-            ++n;
-    }
-    return n;
 }
 
 } // namespace mhp

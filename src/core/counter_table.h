@@ -53,14 +53,8 @@ class CounterTable
     CounterTable(CounterTable &&) = default;
     CounterTable &operator=(CounterTable &&) = default;
 
-    /** Increment a counter by one (saturating); returns the new value. */
-    uint64_t increment(uint64_t index);
-
     /** Current value of a counter. */
     uint64_t value(uint64_t index) const { return counts[index]; }
-
-    /** Zero one counter (the paper's resetting optimization). */
-    void reset(uint64_t index) { counts[index] = 0; }
 
     /** Zero every counter (end-of-interval flush). */
     void flush();
@@ -79,15 +73,13 @@ class CounterTable
     void flipBit(uint64_t index, unsigned bit);
 
     /**
-     * Raw counter storage for batched ingest kernels. Updates through
-     * this pointer must preserve the saturating-increment semantics of
-     * increment(); the pointer stays valid for the table's lifetime.
+     * Raw counter storage for the batched ingest kernels. Updates
+     * through this pointer must saturate at maxValue() (the bump
+     * kernels' contract, core/ingest_kernels.h); the pointer stays
+     * valid for the table's lifetime.
      */
     uint64_t *raw() { return counts; }
     const uint64_t *raw() const { return counts; }
-
-    /** Number of counters currently at or above a value (analysis). */
-    uint64_t countAtLeast(uint64_t value) const;
 
     /** Serialize every counter value (entry count + raw values). */
     void saveState(ByteBuffer &out) const;

@@ -116,9 +116,9 @@ class EventSourceCursor final : public StreamCursor
     /**
      * @param source The wrapped stream (not owned; consumed).
      * @param capacity Staging-buffer size in events (chunk upper
-     *        bound).
+     *        bound); the default is the runners' default batchSize.
      */
-    EventSourceCursor(EventSource &source, size_t capacity)
+    explicit EventSourceCursor(EventSource &source, size_t capacity = 4096)
         : source(source), buffer(capacity == 0 ? 1 : capacity)
     {
     }

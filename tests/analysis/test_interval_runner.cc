@@ -42,8 +42,10 @@ smallConfig()
 TEST(IntervalRunner, PerfectProfilerScoresZero)
 {
     VectorSource src(syntheticStream(3));
+    EventSourceCursor cursor(src);
     PerfectProfiler reference(10);
-    const RunOutput out = runIntervals(src, {&reference}, 100, 10, 3);
+    const RunOutput out =
+        runIntervalsStream(cursor, {&reference}, 100, 10, 3);
     ASSERT_EQ(out.intervalsCompleted, 3u);
     const RunResult &r = out.results[0];
     EXPECT_DOUBLE_EQ(r.averageError().total(), 0.0);
@@ -54,8 +56,10 @@ TEST(IntervalRunner, PerfectProfilerScoresZero)
 TEST(IntervalRunner, CapturesBothCandidates)
 {
     VectorSource src(syntheticStream(3));
+    EventSourceCursor cursor(src);
     auto profiler = makeProfiler(smallConfig());
-    const RunOutput out = runIntervals(src, {profiler.get()}, 100, 10, 3);
+    const RunOutput out =
+        runIntervalsStream(cursor, {profiler.get()}, 100, 10, 3);
     const RunResult &r = out.results[0];
     ASSERT_EQ(r.intervals.size(), 3u);
     for (const auto &score : r.intervals)
@@ -67,8 +71,10 @@ TEST(IntervalRunner, CapturesBothCandidates)
 TEST(IntervalRunner, TracksEventsConsumed)
 {
     VectorSource src(syntheticStream(3));
+    EventSourceCursor cursor(src);
     auto profiler = makeProfiler(smallConfig());
-    const RunOutput out = runIntervals(src, {profiler.get()}, 100, 10, 3);
+    const RunOutput out =
+        runIntervalsStream(cursor, {profiler.get()}, 100, 10, 3);
     EXPECT_EQ(out.eventsConsumed, 300u);
 }
 
@@ -77,8 +83,10 @@ TEST(IntervalRunner, DiscardsPartialFinalInterval)
     auto events = syntheticStream(2);
     events.resize(150); // 1.5 intervals
     VectorSource src(std::move(events));
+    EventSourceCursor cursor(src);
     auto profiler = makeProfiler(smallConfig());
-    const RunOutput out = runIntervals(src, {profiler.get()}, 100, 10, 5);
+    const RunOutput out =
+        runIntervalsStream(cursor, {profiler.get()}, 100, 10, 5);
     EXPECT_EQ(out.intervalsCompleted, 1u);
     EXPECT_EQ(out.results[0].intervals.size(), 1u);
 }
@@ -86,13 +94,14 @@ TEST(IntervalRunner, DiscardsPartialFinalInterval)
 TEST(IntervalRunner, MultipleProfilersSeeTheSameStream)
 {
     VectorSource src(syntheticStream(2));
+    EventSourceCursor cursor(src);
     auto p1 = makeProfiler(smallConfig());
     auto cfg2 = smallConfig();
     cfg2.numHashTables = 1;
     cfg2.resetOnPromote = true; // single hash without reset may add FPs
     auto p2 = makeProfiler(cfg2);
     const RunOutput out =
-        runIntervals(src, {p1.get(), p2.get()}, 100, 10, 2);
+        runIntervalsStream(cursor, {p1.get(), p2.get()}, 100, 10, 2);
     ASSERT_EQ(out.results.size(), 2u);
     EXPECT_EQ(out.results[0].intervals.size(), 2u);
     EXPECT_EQ(out.results[1].intervals.size(), 2u);
@@ -104,8 +113,10 @@ TEST(IntervalRunner, MultipleProfilersSeeTheSameStream)
 TEST(IntervalRunner, StreamStatsCountDistinctTuples)
 {
     VectorSource src(syntheticStream(3));
+    EventSourceCursor cursor(src);
     auto profiler = makeProfiler(smallConfig());
-    const RunOutput out = runIntervals(src, {profiler.get()}, 100, 10, 3);
+    const RunOutput out =
+        runIntervalsStream(cursor, {profiler.get()}, 100, 10, 3);
     ASSERT_EQ(out.stream.distinctTuples.size(), 3u);
     // 2 hot + 20 unique noise tuples per interval.
     for (uint64_t d : out.stream.distinctTuples)
@@ -116,8 +127,10 @@ TEST(IntervalRunner, StreamStatsCountDistinctTuples)
 TEST(IntervalRunner, ProfilerNamesAreRecorded)
 {
     VectorSource src(syntheticStream(1));
+    EventSourceCursor cursor(src);
     auto profiler = makeProfiler(smallConfig());
-    const RunOutput out = runIntervals(src, {profiler.get()}, 100, 10, 1);
+    const RunOutput out =
+        runIntervalsStream(cursor, {profiler.get()}, 100, 10, 1);
     EXPECT_EQ(out.results[0].profilerName, "mh2-C1R0P1");
 }
 
@@ -132,7 +145,8 @@ TEST(IntervalRunner, EmptyRunResultAveragesAreZero)
 TEST(IntervalRunnerDeathTest, RejectsEmptyProfilerList)
 {
     VectorSource src({});
-    EXPECT_EXIT(runIntervals(src, {}, 100, 10, 1),
+    EventSourceCursor cursor(src);
+    EXPECT_EXIT(runIntervalsStream(cursor, {}, 100, 10, 1),
                 ::testing::ExitedWithCode(1), "");
 }
 

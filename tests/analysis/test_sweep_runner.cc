@@ -5,7 +5,7 @@
  * The sweep engine's contract is bit-identical output for every thread
  * count; these tests pin that down by running the same plan serially
  * and with several workers and comparing every scored field exactly.
- * The batched runIntervals()/runIntervalsSpan() equivalence with a
+ * The batched runIntervalsStream()/runIntervalsSpan() equivalence with a
  * per-event reference run is asserted the same way.
  */
 
@@ -170,8 +170,11 @@ TEST(RunnerVariants, BatchedMatchesPerEvent)
 
     auto p2 = makeProfiler(cfg);
     VectorSource src2(events);
+    EventSourceCursor cursor(src2, 333);
+    StreamRunOptions options;
+    options.batchSize = 333;
     const RunOutput batched =
-        runIntervals(src2, {p2.get()}, 1000, 10, 5, 333);
+        runIntervalsStream(cursor, {p2.get()}, 1000, 10, 5, options);
 
     EXPECT_EQ(serial.eventsConsumed, batched.eventsConsumed);
     EXPECT_EQ(serial.intervalsCompleted, batched.intervalsCompleted);

@@ -94,6 +94,37 @@ TEST(ProfilerConfig, CheckRefusesWhatConstructionAbortsOn)
     EXPECT_TRUE(c.check().isOk());
 }
 
+TEST(ProfilerConfig, CheckBoundsTheAccumulator)
+{
+    // ceil(1 / threshold) entries, bounded: a 1e-7 threshold asked for
+    // a 10^7-entry accumulator and a 1e-30 one for more than 64 bits
+    // hold. Every config at or below the bound keeps its size.
+    ProfilerConfig c;
+    c.candidateThreshold = 1.0 / static_cast<double>(
+                                     kMaxAccumulatorEntries);
+    EXPECT_EQ(c.accumulatorSize(), kMaxAccumulatorEntries);
+    EXPECT_TRUE(c.check().isOk());
+
+    c.candidateThreshold = 0.0000001;
+    EXPECT_EQ(c.accumulatorSize(), 10'000'000u);
+    const Status refused = c.check();
+    EXPECT_EQ(refused.code(), StatusCode::InvalidArgument);
+    EXPECT_NE(refused.message().find("10000000-entry accumulator"),
+              std::string::npos)
+        << refused.toString();
+    EXPECT_EQ(c.checkAtEdge().code(), StatusCode::InvalidArgument);
+
+    c.candidateThreshold = 1e-30;
+    EXPECT_EQ(c.accumulatorSize(), UINT64_MAX);
+    EXPECT_EQ(c.check().code(), StatusCode::InvalidArgument);
+
+    c = ProfilerConfig{};
+    c.accumulatorEntries = kMaxAccumulatorEntries + 1; // explicit size
+    EXPECT_EQ(c.check().code(), StatusCode::InvalidArgument);
+    c.accumulatorEntries = kMaxAccumulatorEntries;
+    EXPECT_TRUE(c.check().isOk());
+}
+
 TEST(ProfilerConfig, EdgeCheckRefusesCountersThatCannotReachThreshold)
 {
     // 8-bit counters saturate at 255: at 1M/1% (threshold count

@@ -20,8 +20,9 @@ TEST(EndToEnd, WorkloadThroughBestMultiHash)
 {
     auto workload = makeValueWorkload("li");
     auto profiler = makeProfiler(bestMultiHashConfig(10'000, 0.01));
-    const RunOutput out = runIntervals(*workload, {profiler.get()}, 10'000,
-                                       100, 10);
+    EventSourceCursor cursor(*workload);
+    const RunOutput out =
+        runIntervalsStream(cursor, {profiler.get()}, 10'000, 100, 10);
     ASSERT_EQ(out.intervalsCompleted, 10u);
     // li is well-behaved: the best profiler must be nearly exact.
     EXPECT_LT(out.results[0].averageErrorPercent(), 3.0);
@@ -39,8 +40,9 @@ TEST(EndToEnd, MiniCpuValueProfiling)
     ValueProbe probe(machine);
 
     auto profiler = makeProfiler(bestMultiHashConfig(10'000, 0.01));
+    EventSourceCursor cursor(probe);
     const RunOutput out =
-        runIntervals(probe, {profiler.get()}, 10'000, 100, 5);
+        runIntervalsStream(cursor, {profiler.get()}, 10'000, 100, 5);
     ASSERT_EQ(out.intervalsCompleted, 5u);
     // Generated programs have strong value locality: candidates exist
     // and the profiler catches them accurately.
@@ -59,8 +61,9 @@ TEST(EndToEnd, MiniCpuEdgeProfiling)
     EdgeProbe probe(machine);
 
     auto profiler = makeProfiler(bestMultiHashConfig(10'000, 0.01));
+    EventSourceCursor cursor(probe);
     const RunOutput out =
-        runIntervals(probe, {profiler.get()}, 10'000, 100, 5);
+        runIntervalsStream(cursor, {profiler.get()}, 10'000, 100, 5);
     ASSERT_EQ(out.intervalsCompleted, 5u);
     EXPECT_GT(out.results[0].meanHardwareCandidates(), 0.0);
     EXPECT_LT(out.results[0].averageErrorPercent(), 10.0);
@@ -125,8 +128,9 @@ TEST(EndToEnd, MixedWorkloadsThroughOneProfiler)
     auto b = makeValueWorkload("m88ksim");
     InterleaveSource mixed({a.get(), b.get()}, {1.0, 1.0}, 99);
     auto profiler = makeProfiler(bestMultiHashConfig(10'000, 0.01));
+    EventSourceCursor cursor(mixed);
     const RunOutput out =
-        runIntervals(mixed, {profiler.get()}, 10'000, 100, 5);
+        runIntervalsStream(cursor, {profiler.get()}, 10'000, 100, 5);
     ASSERT_EQ(out.intervalsCompleted, 5u);
     // Candidates from both programs can be captured; the profiler
     // does not fall over under the merge.

@@ -24,9 +24,10 @@ errorFor(const std::string &bench, const ProfilerConfig &cfg,
 {
     auto workload = makeValueWorkload(bench);
     auto profiler = makeProfiler(cfg);
+    EventSourceCursor cursor(*workload);
     const RunOutput out =
-        runIntervals(*workload, {profiler.get()}, cfg.intervalLength,
-                     cfg.thresholdCount(), intervals);
+        runIntervalsStream(cursor, {profiler.get()}, cfg.intervalLength,
+                           cfg.thresholdCount(), intervals);
     return out.results[0].averageErrorPercent();
 }
 
@@ -60,8 +61,9 @@ TEST(PaperClaims, ResettingReducesSingleHashFalsePositives)
         cfg.resetOnPromote = reset;
         auto workload = makeValueWorkload("gcc");
         auto profiler = makeProfiler(cfg);
-        const RunOutput out = runIntervals(
-            *workload, {profiler.get()}, 10'000, cfg.thresholdCount(), 8);
+        EventSourceCursor cursor(*workload);
+        const RunOutput out = runIntervalsStream(
+            cursor, {profiler.get()}, 10'000, cfg.thresholdCount(), 8);
         return out.results[0].averageError().falsePositive;
     };
     EXPECT_LT(run(true), run(false));
@@ -76,8 +78,9 @@ TEST(PaperClaims, RetainingReducesSingleHashError)
         cfg.retaining = retain;
         auto workload = makeValueWorkload("m88ksim");
         auto profiler = makeProfiler(cfg);
-        const RunOutput out = runIntervals(
-            *workload, {profiler.get()}, 10'000, cfg.thresholdCount(), 8);
+        EventSourceCursor cursor(*workload);
+        const RunOutput out = runIntervalsStream(
+            cursor, {profiler.get()}, 10'000, cfg.thresholdCount(), 8);
         return out.results[0].averageErrorPercent();
     };
     EXPECT_LE(run(true), run(false) + 0.5);
@@ -92,8 +95,9 @@ TEST(PaperClaims, ConservativeUpdateHelpsMultiHash)
         cfg.conservativeUpdate = conservative;
         auto workload = makeValueWorkload("go");
         auto profiler = makeProfiler(cfg);
-        const RunOutput out = runIntervals(
-            *workload, {profiler.get()}, 10'000, cfg.thresholdCount(), 8);
+        EventSourceCursor cursor(*workload);
+        const RunOutput out = runIntervalsStream(
+            cursor, {profiler.get()}, 10'000, cfg.thresholdCount(), 8);
         return out.results[0].averageError().falsePositive;
     };
     EXPECT_LE(run(true), run(false));
@@ -107,8 +111,9 @@ TEST(PaperClaims, ImmediateResetCausesFalseNegativesInMultiHash)
         cfg.resetOnPromote = reset;
         auto workload = makeValueWorkload("go");
         auto profiler = makeProfiler(cfg);
-        const RunOutput out = runIntervals(
-            *workload, {profiler.get()}, 10'000, cfg.thresholdCount(), 8);
+        EventSourceCursor cursor(*workload);
+        const RunOutput out = runIntervalsStream(
+            cursor, {profiler.get()}, 10'000, cfg.thresholdCount(), 8);
         return out.results[0].averageError().falseNegative;
     };
     EXPECT_GE(run(true), run(false));

@@ -175,7 +175,6 @@ TEST_F(ResilientSweepTest, InjectedSlowdownTripsDeadline)
     options.threads = 2;
     options.maxAttempts = 2;
     options.cellDeadlineMs = 150;
-    options.watchdogPollMs = 20;
     auto report = runner.runResilient(options);
     ASSERT_TRUE(report.isOk()) << report.status().toString();
     ASSERT_EQ(report->quarantined.size(), 1u);

@@ -159,6 +159,39 @@ TEST(AdmissionControl, UnbuildableHelloIsRefusedAndServiceKeepsServing)
     EXPECT_EQ(ack->accepted, batch.size());
 }
 
+TEST(AdmissionControl, OversizedAccumulatorHelloIsRefusedBeforeTheProbe)
+{
+    // A 1e-9 threshold derives a 10^9-entry accumulator: building it
+    // for the footprint probe used to throw std::bad_alloc and take
+    // the daemon and every tenant down. Now the Hello is refused and
+    // the admitted tenant keeps streaming.
+    ServiceCore core{ServiceOptions{}};
+    WireTenantHello hello;
+    hello.kind = static_cast<uint8_t>(ProfileKind::Value);
+    hello.config = smallConfig();
+    hello.quota = quotaAt(1);
+
+    hello.tenant = "good";
+    const StatusOr<WireHelloAck> good = core.connectTenant(hello);
+    ASSERT_TRUE(good.isOk()) << good.status().toString();
+
+    hello.tenant = "huge";
+    hello.config.candidateThreshold = 0.000000001;
+    const StatusOr<WireHelloAck> huge = core.connectTenant(hello);
+    EXPECT_EQ(huge.status().code(), StatusCode::InvalidArgument)
+        << huge.status().toString();
+    EXPECT_NE(huge.status().message().find("accumulator"),
+              std::string::npos)
+        << huge.status().toString();
+    EXPECT_EQ(core.registry().byName("huge"), nullptr);
+
+    const std::vector<Tuple> batch(500, Tuple{1, 2});
+    const StatusOr<WireEventsAck> ack = core.ingest(
+        good->tenantId, 1, TupleSpan(batch.data(), batch.size()), 0);
+    ASSERT_TRUE(ack.isOk()) << ack.status().toString();
+    EXPECT_EQ(ack->accepted, batch.size());
+}
+
 TEST(AdmissionControl, MakeRoomShedsLowestPriorityYoungestFirst)
 {
     TenantRegistry registry;

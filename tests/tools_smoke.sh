@@ -32,6 +32,26 @@ trap 'rm -rf "$TMP"' EXIT
 "$TOOLS/mhprof_compare" "$TMP/li.mhp" "$TMP/li_bsh.mhp" \
     | grep -q "totals:" || exit 1
 
+# A mapped trace always runs through the span runner: --threads sets
+# its worker count only, so every value writes the same bytes and
+# prints the same summary (the output path is normalized away).
+run_threads() { # <label> [mhprof_run flags...]
+    label="$1"; shift
+    "$TOOLS/mhprof_run" --trace="$TMP/li.mht" --intervals=3 \
+        --out="$TMP/li_$label.mhp" "$@" \
+        | sed "s|$TMP/li_$label.mhp|OUT|" > "$TMP/li_$label.out"
+}
+run_threads t1 --threads=1
+run_threads t4 --threads=4
+run_threads default
+for label in t4 default; do
+    cmp "$TMP/li_t1.mhp" "$TMP/li_$label.mhp" &&
+        cmp "$TMP/li_t1.out" "$TMP/li_$label.out" || {
+        echo "FAIL: mhprof_run $label differs from --threads=1:";
+        cat "$TMP/li_t1.out" "$TMP/li_$label.out"; exit 1; }
+done
+grep -q "3 intervals" "$TMP/li_t1.out"
+
 # Fault sweep: one tiny rate sweep must emit the sh vs mh4-C1 table.
 "$TOOLS/mhprof_faults" --benchmark=li --intervals=2 \
     --interval-length=5000 --rates=0,1e-3 > "$TMP/faults.out"
@@ -112,6 +132,19 @@ for bad in --interval-length=-1 --entries=-1 --tables=3; do
         cat "$TMP/err.out"; exit 1; }
 done
 
+# A threshold so small that its accumulator (ceil(1 / threshold)
+# entries, here 10^9) cannot be allocated is refused the same way,
+# before any profiler is built: no bad_alloc abort.
+for tool in mhprof_run mhprof_faults; do
+    expect_exit 1 "$TOOLS/$tool" --benchmark=li --intervals=1 \
+        --threshold=0.0000001
+    grep -q "invalid argument" "$TMP/err.out" &&
+        ! grep -q "fatal:" "$TMP/err.out" &&
+        ! grep -q "bad_alloc" "$TMP/err.out" || {
+        echo "FAIL: $tool --threshold=0.0000001 diagnostic:";
+        cat "$TMP/err.out"; exit 1; }
+done
+
 # Malformed failpoint specs are usage errors in every tool.
 expect_exit 1 "$TOOLS/mhprof_run" --benchmark=li --failpoints='x='
 expect_exit 1 "$TOOLS/mhprof_trace" --benchmark=li \
@@ -150,6 +183,16 @@ expect_exit 3 "$TOOLS/mhprof_coord" --serial --benchmark=li \
     --failpoints='sweep.cell.compute=1'
 grep -q "quarantined" "$TMP/err.out" || {
     echo "FAIL: quarantine diagnostic missing"; exit 1; }
+
+# Cell deadlines are enforced at interval boundaries only; a budget
+# no cell comes near leaves the sweep's stdout unchanged.
+"$TOOLS/mhprof_coord" --serial --benchmark=li --intervals=2 \
+    --entries=512 --sweep-lengths=1000,2000 > "$TMP/sweep.out"
+"$TOOLS/mhprof_coord" --serial --benchmark=li --intervals=2 \
+    --entries=512 --sweep-lengths=1000,2000 --cell-deadline-ms=60000 \
+    > "$TMP/sweep_deadline.out"
+cmp "$TMP/sweep.out" "$TMP/sweep_deadline.out" || {
+    echo "FAIL: --cell-deadline-ms changed the sweep's stdout"; exit 1; }
 
 # --- distributed coordinator / worker exit codes ---------------------
 # Same contract, extended (docs/DISTRIBUTED.md): mhprof_worker exits 1

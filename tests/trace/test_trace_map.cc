@@ -328,9 +328,12 @@ TEST_P(StreamEquivalence, AllPathsProduceIdenticalRuns)
     // Path 2 — batched staging cursor over the same vector.
     auto p2 = makeProfiler(cfg);
     VectorSource vecAgain(tuples, ProfileKind::Value, "vector");
-    const RunOutput batched = runIntervals(
-        vecAgain, {p2.get()}, kIntervalLength, cfg.thresholdCount(),
-        kMaxIntervals, kBatch);
+    EventSourceCursor staged(vecAgain, kBatch);
+    StreamRunOptions batchedOptions;
+    batchedOptions.batchSize = kBatch;
+    const RunOutput batched = runIntervalsStream(
+        staged, {p2.get()}, kIntervalLength, cfg.thresholdCount(),
+        kMaxIntervals, batchedOptions);
 
     // Path 3 — zero-copy chunks straight from the mapping.
     auto map = TraceMap::open(path);

@@ -309,8 +309,6 @@ main(int argc, char **argv)
         if (cli.getBool("serial")) {
             resilience.threads =
                 static_cast<unsigned>(cli.getInt("threads"));
-            resilience.watchdogPollMs =
-                resilience.cellDeadlineMs > 0 ? 50 : 0;
             SweepRunner runner(std::move(plan));
             return runner.runResilient(resilience);
         }

@@ -54,8 +54,8 @@ main(int argc, char **argv)
     addProfilerFlags(cli);
     cli.addInt("seed", 1, "workload seed");
     cli.addInt("threads", 0,
-               "worker threads for scoring a mapped trace (0 = auto, "
-               "1 = serial streaming)");
+               "worker threads for ingest and scoring of a mapped "
+               "trace (0 = auto); same output for every value");
     cli.addString("failpoints", "",
                   "failpoint spec, e.g. profile.write.enospc=2 "
                   "(see docs/ROBUSTNESS.md)");
@@ -178,21 +178,17 @@ main(int argc, char **argv)
     }
 
     // Run against the perfect profiler so the summary includes error.
-    // One streaming pass scores and captures the snapshots for the
-    // file: a mapped trace is read zero-copy, everything else flows
-    // through an O(batch) staging cursor. Bit-identical to the old
-    // materialize-then-span and run-twice paths.
+    // The input picks the runner: a trace mapped zero-copy is already
+    // one span, so the span runner ingests and scores it on --threads
+    // workers with no copy; workload models, the buffered-reader
+    // fallback and byte-swapping maps stream through an O(batch)
+    // cursor. Both runners write the same bytes.
     const uint64_t numIntervals =
         static_cast<uint64_t>(cli.getInt("intervals"));
-    const unsigned threads =
-        static_cast<unsigned>(cli.getInt("threads"));
     RunOutput out;
-    if (map && TraceMap::zeroCopy() && threads != 1) {
-        // Mapped trace: the whole record region is already a span, so
-        // the parallel runner can score intervals concurrently with
-        // no copy at all.
+    if (map && TraceMap::zeroCopy()) {
         BatchedRunOptions options;
-        options.threads = threads;
+        options.threads = static_cast<unsigned>(cli.getInt("threads"));
         options.keepSnapshots = true;
         out = runIntervalsSpan(*map->span(), {profiler.get()},
                                cfg.intervalLength, cfg.thresholdCount(),
@@ -200,17 +196,12 @@ main(int argc, char **argv)
     } else {
         StreamRunOptions options;
         options.keepSnapshots = true;
-        std::unique_ptr<TraceMapSource> mapCursor;
-        std::unique_ptr<EventSourceCursor> eventCursor;
-        StreamCursor *cursor;
-        if (map) {
-            mapCursor = std::make_unique<TraceMapSource>(map);
-            cursor = mapCursor.get();
-        } else {
-            eventCursor = std::make_unique<EventSourceCursor>(
+        std::unique_ptr<StreamCursor> cursor;
+        if (map)
+            cursor = std::make_unique<TraceMapSource>(map);
+        else
+            cursor = std::make_unique<EventSourceCursor>(
                 *source, static_cast<size_t>(options.batchSize));
-            cursor = eventCursor.get();
-        }
         out = runIntervalsStream(*cursor, {profiler.get()},
                                  cfg.intervalLength,
                                  cfg.thresholdCount(), numIntervals,
