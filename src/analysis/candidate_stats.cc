@@ -34,7 +34,7 @@ analyzeCandidates(EventSource &source, uint64_t intervalLength,
     MHP_REQUIRE(intervalLength > 0, "intervalLength must be positive");
 
     CandidateAnalysis out;
-    PerfectProfiler perfect(thresholdCount);
+    PerfectProfiler perfect(thresholdCount, intervalLength);
     CandidateVariation variation;
 
     for (uint64_t interval = 0; interval < numIntervals; ++interval) {

@@ -1,5 +1,7 @@
 #include "analysis/error_metrics.h"
 
+#include <algorithm>
+
 #include "support/panic.h"
 
 namespace mhp {
@@ -61,42 +63,52 @@ ErrorBreakdown::operator/=(double d)
 }
 
 IntervalScore
-scoreInterval(
-    const std::unordered_map<Tuple, uint64_t, TupleHash> &perfectCounts,
-    const IntervalSnapshot &hardware, uint64_t thresholdCount)
+scoreInterval(const IntervalSnapshot &perfectCandidates,
+              const PerfectCountOf &perfectCountOf,
+              const IntervalSnapshot &hardware, uint64_t thresholdCount)
 {
     IntervalScore score;
 
-    // Index the hardware snapshot for lookups.
-    std::unordered_map<Tuple, uint64_t, TupleHash> hw;
-    hw.reserve(hardware.size() * 2);
-    for (const auto &cand : hardware)
-        hw.emplace(cand.tuple, cand.count);
+    // The hardware snapshot sorted by tuple, for lookups; a stable
+    // sort keeps the first of any repeated tuple in front.
+    IntervalSnapshot hw = hardware;
+    const auto byTuple = [](const CandidateCount &a,
+                            const CandidateCount &b) {
+        return a.tuple.first != b.tuple.first
+                   ? a.tuple.first < b.tuple.first
+                   : a.tuple.second < b.tuple.second;
+    };
+    std::stable_sort(hw.begin(), hw.end(), byTuple);
+    const auto hardwareCount = [&](const Tuple &t) -> uint64_t {
+        const auto it = std::lower_bound(hw.begin(), hw.end(),
+                                         CandidateCount{t, 0}, byTuple);
+        return it != hw.end() && it->tuple == t ? it->count : 0;
+    };
+    const auto absDiff = [](uint64_t a, uint64_t b) {
+        return a > b ? a - b : b - a;
+    };
 
-    double num_fp = 0.0, num_fn = 0.0, num_np = 0.0, num_nn = 0.0;
-    double denom = 0.0;
+    uint64_t num_fp = 0, num_fn = 0, num_np = 0, num_nn = 0;
+    uint64_t denom = 0;
 
     // Pass 1: every perfect candidate (covers FN, NP, NN).
-    for (const auto &[tuple, fp] : perfectCounts) {
-        if (fp < thresholdCount)
-            continue;
+    for (const auto &[tuple, fp] : perfectCandidates) {
+        MHP_ASSERT(fp >= thresholdCount,
+                   "perfect candidate below the threshold");
         ++score.perfectCandidates;
-        denom += static_cast<double>(fp);
-        const auto it = hw.find(tuple);
-        const uint64_t fh = it == hw.end() ? 0 : it->second;
-        const double diff = fp > fh ? static_cast<double>(fp - fh)
-                                    : static_cast<double>(fh - fp);
+        denom += fp;
+        const uint64_t fh = hardwareCount(tuple);
         switch (classifyTuple(fp, fh, thresholdCount)) {
           case ErrorCategory::FalseNegative:
-            num_fn += diff;
+            num_fn += absDiff(fp, fh);
             ++score.counts.falseNegative;
             break;
           case ErrorCategory::NeutralPositive:
-            num_np += diff;
+            num_np += absDiff(fp, fh);
             ++score.counts.neutralPositive;
             break;
           case ErrorCategory::NeutralNegative:
-            num_nn += diff;
+            num_nn += absDiff(fp, fh);
             ++score.counts.neutralNegative;
             break;
           default:
@@ -107,29 +119,56 @@ scoreInterval(
     // Pass 2: hardware candidates that are not perfect candidates (FP).
     for (const auto &cand : hardware) {
         ++score.hardwareCandidates;
-        const auto it = perfectCounts.find(cand.tuple);
-        const uint64_t fp = it == perfectCounts.end() ? 0 : it->second;
+        const uint64_t fp = perfectCountOf(cand.tuple);
         if (fp >= thresholdCount)
             continue; // already handled in pass 1
-        denom += static_cast<double>(fp);
-        const double diff =
-            cand.count > fp ? static_cast<double>(cand.count - fp)
-                            : static_cast<double>(fp - cand.count);
-        num_fp += diff;
+        denom += fp;
+        num_fp += absDiff(cand.count, fp);
         ++score.counts.falsePositive;
     }
 
-    if (denom > 0.0) {
-        score.breakdown.falsePositive = num_fp / denom;
-        score.breakdown.falseNegative = num_fn / denom;
-        score.breakdown.neutralPositive = num_np / denom;
-        score.breakdown.neutralNegative = num_nn / denom;
+    if (denom > 0) {
+        const auto share = [&](uint64_t num) {
+            return static_cast<double>(num) / static_cast<double>(denom);
+        };
+        score.breakdown.falsePositive = share(num_fp);
+        score.breakdown.falseNegative = share(num_fn);
+        score.breakdown.neutralPositive = share(num_np);
+        score.breakdown.neutralNegative = share(num_nn);
     } else if (score.hardwareCandidates > 0) {
         // No true candidates at all but the hardware reported some:
         // pure false-positive noise; call it 100% FP error.
         score.breakdown.falsePositive = 1.0;
     }
     return score;
+}
+
+IntervalScore
+scoreInterval(const PerfectProfiler &truth, const IntervalSnapshot &hardware)
+{
+    return scoreInterval(
+        truth.candidates(),
+        [&truth](const Tuple &t) { return truth.countOf(t); }, hardware,
+        truth.thresholdCount());
+}
+
+IntervalScore
+scoreInterval(
+    const std::unordered_map<Tuple, uint64_t, TupleHash> &perfectCounts,
+    const IntervalSnapshot &hardware, uint64_t thresholdCount)
+{
+    IntervalSnapshot candidates;
+    for (const auto &[tuple, count] : perfectCounts) {
+        if (count >= thresholdCount)
+            candidates.push_back({tuple, count});
+    }
+    return scoreInterval(
+        candidates,
+        [&perfectCounts](const Tuple &t) -> uint64_t {
+            const auto it = perfectCounts.find(t);
+            return it == perfectCounts.end() ? 0 : it->second;
+        },
+        hardware, thresholdCount);
 }
 
 } // namespace mhp

@@ -20,14 +20,21 @@
  * over all intervals. The per-category split attributes each
  * candidate's |fp - fh| to its category, giving the stacked bars of
  * Figures 7 and 10-12.
+ *
+ * Scoring reads the perfect profile through two things only: its
+ * candidate list (every tuple with fp >= T) and an exact count lookup
+ * for the hardware's candidates. A PerfectProfiler supplies both
+ * while the interval is open; the interval runners score that way.
  */
 
 #ifndef MHP_ANALYSIS_ERROR_METRICS_H
 #define MHP_ANALYSIS_ERROR_METRICS_H
 
 #include <cstdint>
+#include <functional>
 #include <unordered_map>
 
+#include "core/perfect_profiler.h"
 #include "core/profiler.h"
 #include "trace/tuple.h"
 
@@ -99,14 +106,40 @@ struct IntervalScore
                            const IntervalScore &) = default;
 };
 
+/** Exact count of any tuple in the interval's perfect profile. */
+using PerfectCountOf = std::function<uint64_t(const Tuple &)>;
+
 /**
- * Score one interval of a hardware profiler against the perfect
- * profile.
+ * The scoring core: score one interval of a hardware profiler against
+ * the perfect profile.
  *
- * @param perfectCounts Exact per-tuple counts for the interval (from
- *        PerfectProfiler::counts(), *before* its endInterval()).
+ * The four category numerators and the denominator are uint64_t sums
+ * divided once at the end, so the score does not depend on the order
+ * of either list.
+ *
+ * @param perfectCandidates Every tuple whose exact count reaches
+ *        thresholdCount, with that count, in any order.
+ * @param perfectCountOf Exact count of any tuple (0 if it did not
+ *        occur); consulted for the hardware candidates.
  * @param hardware The hardware profiler's snapshot for the interval.
  * @param thresholdCount The candidate threshold in occurrences.
+ */
+IntervalScore scoreInterval(const IntervalSnapshot &perfectCandidates,
+                            const PerfectCountOf &perfectCountOf,
+                            const IntervalSnapshot &hardware,
+                            uint64_t thresholdCount);
+
+/**
+ * Score against an oracle that has ingested the interval, before its
+ * endInterval() or reset(): its candidate list and countOf().
+ */
+IntervalScore scoreInterval(const PerfectProfiler &truth,
+                            const IntervalSnapshot &hardware);
+
+/**
+ * Ledger-only adapter over the core, for exact counts taken as a map
+ * (PerfectProfiler::takeCounts()); kept until the ledger drivers score
+ * through a PerfectProfiler.
  */
 IntervalScore scoreInterval(
     const std::unordered_map<Tuple, uint64_t, TupleHash> &perfectCounts,

@@ -1,7 +1,10 @@
 #include "analysis/interval_runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 
 #include "core/perfect_profiler.h"
 #include "support/panic.h"
@@ -82,7 +85,7 @@ runIntervalsStream(StreamCursor &stream,
         MHP_REQUIRE(profilers[i] != nullptr, "null profiler");
         out.results[i].profilerName = profilers[i]->name();
     }
-    PerfectProfiler perfect(thresholdCount);
+    PerfectProfiler perfect(thresholdCount, intervalLength);
 
     for (uint64_t interval = 0; interval < numIntervals; ++interval) {
         // Cooperative stops land only on interval boundaries, so every
@@ -118,15 +121,14 @@ runIntervalsStream(StreamCursor &stream,
         if (consumed < intervalLength)
             break; // stream ran dry: discard the partial interval
 
-        const auto truth = perfect.takeCounts();
-        out.stream.distinctTuples.push_back(truth.size());
+        out.stream.distinctTuples.push_back(perfect.distinctTuples());
         for (size_t i = 0; i < profilers.size(); ++i) {
             IntervalSnapshot snap = profilers[i]->endInterval();
-            out.results[i].intervals.push_back(
-                scoreInterval(truth, snap, thresholdCount));
+            out.results[i].intervals.push_back(scoreInterval(perfect, snap));
             if (options.keepSnapshots)
                 out.snapshots[i].push_back(std::move(snap));
         }
+        perfect.reset();
         ++out.intervalsCompleted;
     }
     return out;
@@ -168,44 +170,70 @@ runIntervalsSpan(TupleSpan stream,
         return out;
     }
 
-    // Phase 1 — ingest: each profiler walks its whole timeline on one
-    // worker in batchSize blocks clipped to interval boundaries
-    // (scoring is deferred to phase 2). Profilers share no mutable
-    // state and all of them read the same span.
+    // One task graph over a fixed pool. Tasks [0, P) ingest one
+    // profiler each, walking its whole timeline in batchSize blocks
+    // clipped to interval boundaries and publishing every interval's
+    // snapshot as it closes. Tasks [P, P + workers) score: each claims
+    // intervals one at a time, builds the interval's truth in its one
+    // reused oracle table while the profilers are still ingesting, and
+    // scores the interval once every profiler has published it.
+    // parallelFor claims tasks in index order, so every ingest task is
+    // running (or done) before a scoring task can wait on it.
+    const size_t numProfilers = profilers.size();
+    const unsigned workers =
+        parallelWorkers(numProfilers + intervals, options.threads);
+    std::mutex publishMutex;
+    std::condition_variable publishedCv;
+    std::vector<uint64_t> published(numProfilers, 0); // intervals closed
+    std::atomic<uint64_t> nextInterval{0};
     parallelFor(
-        profilers.size(),
-        [&](size_t p) {
-            for (uint64_t k = 0; k < intervals; ++k) {
-                const Tuple *events = stream.data() + k * intervalLength;
-                for (uint64_t at = 0; at < intervalLength;
-                     at += options.batchSize) {
-                    profilers[p]->onEvents(
-                        events + at, std::min(options.batchSize,
-                                              intervalLength - at));
+        numProfilers + workers,
+        [&](size_t task) {
+            if (task < numProfilers) {
+                HardwareProfiler &profiler = *profilers[task];
+                for (uint64_t k = 0; k < intervals; ++k) {
+                    const Tuple *events =
+                        stream.data() + k * intervalLength;
+                    for (uint64_t at = 0; at < intervalLength;
+                         at += options.batchSize) {
+                        profiler.onEvents(
+                            events + at, std::min(options.batchSize,
+                                                  intervalLength - at));
+                    }
+                    snapshots[task][k] = profiler.endInterval();
+                    {
+                        const std::lock_guard<std::mutex> lock(
+                            publishMutex);
+                        published[task] = k + 1;
+                    }
+                    publishedCv.notify_all();
                 }
-                snapshots[p][k] = profilers[p]->endInterval();
+                return;
+            }
+            uint64_t k = nextInterval.fetch_add(1);
+            if (k >= intervals)
+                return;
+            PerfectProfiler perfect(thresholdCount, intervalLength);
+            for (; k < intervals; k = nextInterval.fetch_add(1)) {
+                perfect.onEvents(stream.data() + k * intervalLength,
+                                 intervalLength);
+                out.stream.distinctTuples[k] = perfect.distinctTuples();
+                {
+                    std::unique_lock<std::mutex> lock(publishMutex);
+                    publishedCv.wait(lock, [&] {
+                        return std::all_of(
+                            published.begin(), published.end(),
+                            [k](uint64_t closed) { return closed > k; });
+                    });
+                }
+                for (size_t p = 0; p < numProfilers; ++p) {
+                    out.results[p].intervals[k] =
+                        scoreInterval(perfect, snapshots[p][k]);
+                }
+                perfect.reset();
             }
         },
-        options.threads, /*grain=*/1);
-
-    // Phase 2 — score: each interval's perfect profile depends only on
-    // that interval's events, so truth construction and scoring shard
-    // cleanly across intervals.
-    parallelFor(
-        intervals,
-        [&](size_t k) {
-            PerfectProfiler perfect(thresholdCount);
-            const TupleSpan interval =
-                stream.subspan(k * intervalLength, intervalLength);
-            perfect.onEvents(interval.data(), interval.size());
-            out.stream.distinctTuples[k] = perfect.distinctTuples();
-            const auto &truth = perfect.counts();
-            for (size_t p = 0; p < profilers.size(); ++p) {
-                out.results[p].intervals[k] =
-                    scoreInterval(truth, snapshots[p][k], thresholdCount);
-            }
-        },
-        options.threads, /*grain=*/1);
+        workers, /*grain=*/1);
 
     if (options.keepSnapshots)
         out.snapshots = std::move(snapshots);

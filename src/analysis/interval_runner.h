@@ -12,8 +12,8 @@
  * contiguous blocks from a StreamCursor, clips them to interval
  * boundaries, feeds every profiler through onEvents() in O(chunk)
  * memory, and scores each interval inline as it closes;
- * runIntervalsSpan() runs an in-memory span with parallel ingest and
- * scoring phases. An EventSource runs through runIntervalsStream()
+ * runIntervalsSpan() runs an in-memory span, scoring intervals on
+ * parallel workers while the profilers ingest. An EventSource runs through runIntervalsStream()
  * over an EventSourceCursor. Both produce bit-identical scores and
  * snapshots (asserted by tests). See docs/STREAMING.md.
  */
@@ -152,8 +152,8 @@ struct BatchedRunOptions
     uint64_t batchSize = 4096;
 
     /**
-     * Worker threads for the ingest (across profilers) and scoring
-     * (across intervals) phases; 0 = min(hardware concurrency, work),
+     * Worker threads shared by ingest (one per profiler) and scoring
+     * (across intervals); 0 = min(hardware concurrency, work),
      * overridable via MHP_THREADS. The output is bit-identical for
      * every thread count.
      */
@@ -165,13 +165,15 @@ struct BatchedRunOptions
 
 /**
  * In-memory parallel variant of runIntervalsStream(): identical
- * scores, with two parallel phases. Ingest runs each profiler's full
- * timeline on its own worker (profilers share no state; each consumes
- * the same read-only span). Scoring rebuilds the perfect profile of each
- * interval independently and scores all profilers against it, one
- * interval per worker. All results land in slots indexed by
- * (profiler, interval), so the merge is deterministic and bit-identical
- * to the serial run regardless of scheduling.
+ * scores. Ingest runs each profiler's full timeline on its own worker
+ * (profilers share no state; each consumes the same read-only span)
+ * and publishes each interval's snapshot as it closes. The other
+ * workers meanwhile claim intervals one at a time, build each one's
+ * perfect profile in one reused oracle table, and score it against
+ * every profiler once all of them have published it. All results land
+ * in slots indexed by (profiler, interval), so the merge is
+ * deterministic and bit-identical to the serial run regardless of
+ * scheduling.
  *
  * A trailing partial interval (stream shorter than numIntervals *
  * intervalLength) is discarded, exactly like the streaming runner on

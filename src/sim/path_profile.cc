@@ -8,16 +8,6 @@ namespace mhp {
 
 namespace {
 
-/** a * b, saturating at kMaxPathsPerRoutine. */
-uint64_t
-satMul(uint64_t a, uint64_t b)
-{
-    if (a != 0 && b > kMaxPathsPerRoutine / a)
-        return kMaxPathsPerRoutine + 1;
-    const uint64_t p = a * b;
-    return p > kMaxPathsPerRoutine ? kMaxPathsPerRoutine + 1 : p;
-}
-
 /** a + b, saturating at kMaxPathsPerRoutine. */
 uint64_t
 satAdd(uint64_t a, uint64_t b)

@@ -10,14 +10,9 @@
 
 namespace mhp {
 
-void
-parallelFor(size_t n, const std::function<void(size_t)> &fn,
-            unsigned threads, size_t grain)
+unsigned
+parallelWorkers(size_t n, unsigned threads)
 {
-    MHP_REQUIRE(static_cast<bool>(fn), "parallelFor needs a body");
-    if (n == 0)
-        return;
-
     if (threads == 0) {
         const auto hw = std::thread::hardware_concurrency();
         threads = hw == 0 ? 1 : hw;
@@ -27,6 +22,18 @@ parallelFor(size_t n, const std::function<void(size_t)> &fn,
     }
     if (threads > n)
         threads = static_cast<unsigned>(n);
+    return threads;
+}
+
+void
+parallelFor(size_t n, const std::function<void(size_t)> &fn,
+            unsigned threads, size_t grain)
+{
+    MHP_REQUIRE(static_cast<bool>(fn), "parallelFor needs a body");
+    if (n == 0)
+        return;
+
+    threads = parallelWorkers(n, threads);
 
     if (threads <= 1) {
         for (size_t i = 0; i < n; ++i)

@@ -20,6 +20,14 @@
 namespace mhp {
 
 /**
+ * The worker count parallelFor(n, fn, threads) runs with: threads, or
+ * min(hardware concurrency, n) when threads is 0 (overridable via
+ * MHP_THREADS), never more than n. For loops that keep per-worker
+ * state: run parallelFor over this many workers, each claiming items.
+ */
+unsigned parallelWorkers(size_t n, unsigned threads = 0);
+
+/**
  * Invoke fn(i) for every i in [0, n), possibly concurrently.
  *
  * Work is handed out in contiguous chunks of `grain` iterations per
@@ -27,6 +35,10 @@ namespace mhp {
  * (thousands of cheap iterations) do not serialize on the shared
  * counter. Scheduling never affects results: bodies write only to
  * their own slots, so the output is bit-identical to the serial run.
+ *
+ * Chunks are claimed in increasing index order and run at once on the
+ * thread that claimed them, so with grain 1 a body may wait on work
+ * done by any lower index: that index is already running or done.
  *
  * @param n Number of iterations.
  * @param fn The body; must be safe to call concurrently for distinct

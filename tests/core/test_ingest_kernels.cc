@@ -494,8 +494,9 @@ TEST_P(IngestKernelTiers, BumpMinBlockMatchesReference)
                     want.bank.data(), idx.data(), n, start, numAbsent,
                     saturation, threshold, &wantStop);
                 EXPECT_EQ(g, w) << "n=" << n << " seed=" << seed;
-                if (w < numAbsent)
+                if (w < numAbsent) {
                     EXPECT_EQ(gotStop, wantStop);
+                }
                 EXPECT_EQ(got.bank, want.bank)
                     << "n=" << n << " seed=" << seed;
             }
@@ -527,8 +528,9 @@ TEST_P(IngestKernelTiers, BumpMinConservativeBlockMatchesReference)
                 want.bank.data(), idx.data(), n, 0, numAbsent,
                 saturation, threshold, &wantStop);
             EXPECT_EQ(g, w) << "n=" << n << " seed=" << seed;
-            if (w < numAbsent)
+            if (w < numAbsent) {
                 EXPECT_EQ(gotStop, wantStop);
+            }
             EXPECT_EQ(got.bank, want.bank)
                 << "n=" << n << " seed=" << seed;
         }

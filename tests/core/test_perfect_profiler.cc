@@ -12,9 +12,8 @@ TEST(PerfectProfiler, CountsExactly)
         p.onEvent({1, 1});
     p.onEvent({2, 2});
     EXPECT_EQ(p.distinctTuples(), 2u);
-    const auto &counts = p.counts();
-    EXPECT_EQ(counts.at({1, 1}), 5u);
-    EXPECT_EQ(counts.at({2, 2}), 1u);
+    EXPECT_EQ(p.countOf({1, 1}), 5u);
+    EXPECT_EQ(p.countOf({2, 2}), 1u);
 }
 
 TEST(PerfectProfiler, SnapshotAppliesThreshold)
@@ -49,6 +48,21 @@ TEST(PerfectProfiler, ResetClears)
     p.onEvent({1, 1});
     p.reset();
     EXPECT_EQ(p.distinctTuples(), 0u);
+}
+
+TEST(PerfectProfiler, TakeCountsReturnsTheIntervalAndClears)
+{
+    PerfectProfiler p(2);
+    for (int i = 0; i < 3; ++i)
+        p.onEvent({1, 1});
+    p.onEvent({2, 2});
+    const auto counts = p.takeCounts();
+    ASSERT_EQ(counts.size(), 2u);
+    EXPECT_EQ(counts.at({1, 1}), 3u);
+    EXPECT_EQ(counts.at({2, 2}), 1u);
+    EXPECT_EQ(p.distinctTuples(), 0u);
+    EXPECT_EQ(p.countOf({1, 1}), 0u);
+    EXPECT_TRUE(p.candidates().empty());
 }
 
 TEST(PerfectProfiler, HasNoHardwareArea)

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "support/parallel.h"
@@ -59,6 +60,35 @@ TEST(ParallelFor, MoreThreadsThanWorkIsFine)
     parallelFor(3, [&](size_t i) { ++hits[i]; }, /*threads=*/16);
     for (auto &h : hits)
         EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, LaterIndexMayWaitOnAnEarlierOne)
+{
+    // Index i spins until index i - 1 is done. In-order claiming makes
+    // this finish on any thread count, even with fewer threads than
+    // indices.
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        const size_t n = 16;
+        std::vector<std::atomic<bool>> done(n);
+        parallelFor(
+            n,
+            [&](size_t i) {
+                while (i > 0 && !done[i - 1].load())
+                    std::this_thread::yield();
+                done[i].store(true);
+            },
+            threads, /*grain=*/1);
+        for (const auto &d : done)
+            EXPECT_TRUE(d.load());
+    }
+}
+
+TEST(ParallelWorkers, MatchesTheLoopsThreadCount)
+{
+    EXPECT_EQ(parallelWorkers(3, 16), 3u);
+    EXPECT_EQ(parallelWorkers(100, 2), 2u);
+    EXPECT_EQ(parallelWorkers(1, 0), 1u);
+    EXPECT_GE(parallelWorkers(100, 0), 1u);
 }
 
 TEST(ParallelForDeathTest, RejectsEmptyBody)

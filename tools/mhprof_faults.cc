@@ -81,7 +81,7 @@ faultedErrorPercent(StreamCursor &stream, const ProfilerConfig &cfg,
                     uint64_t chunk)
 {
     auto hardware = makeProfiler(cfg);
-    PerfectProfiler perfect(cfg.thresholdCount());
+    PerfectProfiler perfect(cfg.thresholdCount(), cfg.intervalLength);
     FaultInjector injector({.faultsPerEvent = rate, .seed = faultSeed});
     injector.attach(*hardware);
 
@@ -104,10 +104,8 @@ faultedErrorPercent(StreamCursor &stream, const ProfilerConfig &cfg,
         if (remaining > 0)
             break; // discard the partial interval
         const IntervalSnapshot snap = hardware->endInterval();
-        errorSum += scoreInterval(perfect.counts(), snap,
-                                  cfg.thresholdCount())
-                        .breakdown.total();
-        (void)perfect.endInterval();
+        errorSum += scoreInterval(perfect, snap).breakdown.total();
+        perfect.reset();
         ++completed;
     }
     return completed > 0 ? 100.0 * errorSum / double(completed) : 0.0;
