@@ -1,7 +1,5 @@
 #include "analysis/error_metrics.h"
 
-#include <algorithm>
-
 #include "support/panic.h"
 
 namespace mhp {
@@ -62,28 +60,27 @@ ErrorBreakdown::operator/=(double d)
     return *this;
 }
 
+namespace {
+
+/**
+ * The scoring core. perfectCandidates holds every tuple whose exact
+ * count reaches thresholdCount, with that count, in any order;
+ * perfectCountOf(t) is the exact count of any tuple (0 if it did not
+ * occur) and is consulted for the hardware candidates.
+ */
+template <typename CountOf>
 IntervalScore
-scoreInterval(const IntervalSnapshot &perfectCandidates,
-              const PerfectCountOf &perfectCountOf,
-              const IntervalSnapshot &hardware, uint64_t thresholdCount)
+scoreCore(const IntervalSnapshot &perfectCandidates,
+          const CountOf &perfectCountOf, const IntervalSnapshot &hardware,
+          uint64_t thresholdCount)
 {
     IntervalScore score;
 
-    // The hardware snapshot sorted by tuple, for lookups; a stable
-    // sort keeps the first of any repeated tuple in front.
-    IntervalSnapshot hw = hardware;
-    const auto byTuple = [](const CandidateCount &a,
-                            const CandidateCount &b) {
-        return a.tuple.first != b.tuple.first
-                   ? a.tuple.first < b.tuple.first
-                   : a.tuple.second < b.tuple.second;
-    };
-    std::stable_sort(hw.begin(), hw.end(), byTuple);
-    const auto hardwareCount = [&](const Tuple &t) -> uint64_t {
-        const auto it = std::lower_bound(hw.begin(), hw.end(),
-                                         CandidateCount{t, 0}, byTuple);
-        return it != hw.end() && it->tuple == t ? it->count : 0;
-    };
+    // Index the hardware snapshot for lookups.
+    std::unordered_map<Tuple, uint64_t, TupleHash> hw;
+    hw.reserve(hardware.size() * 2);
+    for (const auto &cand : hardware)
+        hw.emplace(cand.tuple, cand.count);
     const auto absDiff = [](uint64_t a, uint64_t b) {
         return a > b ? a - b : b - a;
     };
@@ -97,7 +94,8 @@ scoreInterval(const IntervalSnapshot &perfectCandidates,
                    "perfect candidate below the threshold");
         ++score.perfectCandidates;
         denom += fp;
-        const uint64_t fh = hardwareCount(tuple);
+        const auto it = hw.find(tuple);
+        const uint64_t fh = it == hw.end() ? 0 : it->second;
         switch (classifyTuple(fp, fh, thresholdCount)) {
           case ErrorCategory::FalseNegative:
             num_fn += absDiff(fp, fh);
@@ -143,10 +141,12 @@ scoreInterval(const IntervalSnapshot &perfectCandidates,
     return score;
 }
 
+} // namespace
+
 IntervalScore
 scoreInterval(const PerfectProfiler &truth, const IntervalSnapshot &hardware)
 {
-    return scoreInterval(
+    return scoreCore(
         truth.candidates(),
         [&truth](const Tuple &t) { return truth.countOf(t); }, hardware,
         truth.thresholdCount());
@@ -162,7 +162,7 @@ scoreInterval(
         if (count >= thresholdCount)
             candidates.push_back({tuple, count});
     }
-    return scoreInterval(
+    return scoreCore(
         candidates,
         [&perfectCounts](const Tuple &t) -> uint64_t {
             const auto it = perfectCounts.find(t);

@@ -31,7 +31,6 @@
 #define MHP_ANALYSIS_ERROR_METRICS_H
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 
 #include "core/perfect_profiler.h"
@@ -106,40 +105,22 @@ struct IntervalScore
                            const IntervalScore &) = default;
 };
 
-/** Exact count of any tuple in the interval's perfect profile. */
-using PerfectCountOf = std::function<uint64_t(const Tuple &)>;
-
 /**
- * The scoring core: score one interval of a hardware profiler against
- * the perfect profile.
+ * Score one interval of a hardware profiler against an oracle that has
+ * ingested the interval, before its endInterval() or reset(): its
+ * candidate list and countOf().
  *
  * The four category numerators and the denominator are uint64_t sums
  * divided once at the end, so the score does not depend on the order
  * of either list.
- *
- * @param perfectCandidates Every tuple whose exact count reaches
- *        thresholdCount, with that count, in any order.
- * @param perfectCountOf Exact count of any tuple (0 if it did not
- *        occur); consulted for the hardware candidates.
- * @param hardware The hardware profiler's snapshot for the interval.
- * @param thresholdCount The candidate threshold in occurrences.
- */
-IntervalScore scoreInterval(const IntervalSnapshot &perfectCandidates,
-                            const PerfectCountOf &perfectCountOf,
-                            const IntervalSnapshot &hardware,
-                            uint64_t thresholdCount);
-
-/**
- * Score against an oracle that has ingested the interval, before its
- * endInterval() or reset(): its candidate list and countOf().
  */
 IntervalScore scoreInterval(const PerfectProfiler &truth,
                             const IntervalSnapshot &hardware);
 
 /**
- * Ledger-only adapter over the core, for exact counts taken as a map
- * (PerfectProfiler::takeCounts()); kept until the ledger drivers score
- * through a PerfectProfiler.
+ * Ledger-only adapter over the same scoring core, for exact counts
+ * taken as a map (PerfectProfiler::takeCounts()); kept until the
+ * ledger drivers score through a PerfectProfiler.
  */
 IntervalScore scoreInterval(
     const std::unordered_map<Tuple, uint64_t, TupleHash> &perfectCounts,

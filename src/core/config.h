@@ -165,9 +165,11 @@ struct ProfilerConfig
     }
 
     /**
-     * check() plus the rule for configs arriving from outside (tool
-     * flags, tenant Hellos): a counter must be able to count up to
-     * thresholdCount(). One that saturates below it never promotes
+     * check() plus two rules for configs arriving from outside (tool
+     * flags, tenant Hellos). An interval holds at most UINT32_MAX
+     * events, because the perfect profiler that scores it counts each
+     * tuple in 32 bits. And a counter must be able to count up to
+     * thresholdCount(): one that saturates below it never promotes
      * anything, and the profile comes back silently empty. Ablations
      * that build such configs on purpose go through check() alone.
      */
@@ -175,6 +177,11 @@ struct ProfilerConfig
     checkAtEdge() const
     {
         MHP_RETURN_IF_ERROR(check());
+        if (intervalLength > UINT32_MAX)
+            return Status::invalidArgument(
+                "intervalLength " + std::to_string(intervalLength) +
+                " exceeds the " + std::to_string(UINT32_MAX) +
+                " events an exact 32-bit count can score");
         const uint64_t saturation =
             counterBits >= 64 ? ~0ULL : (1ULL << counterBits) - 1;
         if (saturation < thresholdCount())

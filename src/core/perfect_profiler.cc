@@ -1,7 +1,5 @@
 #include "core/perfect_profiler.h"
 
-#include <algorithm>
-
 #include "support/panic.h"
 
 namespace mhp {
@@ -124,14 +122,8 @@ PerfectProfiler::endInterval()
 void
 PerfectProfiler::reset()
 {
-    // A dense interval clears faster with one sweep than with a
-    // scattered write per filled slot; both are O(filled).
-    if (filled.size() * 8 >= counts.size()) {
-        std::fill(counts.begin(), counts.end(), 0);
-    } else {
-        for (uint32_t s : filled)
-            counts[s] = 0;
-    }
+    for (uint32_t s : filled)
+        counts[s] = 0;
     filled.clear();
     crossed.clear();
 }

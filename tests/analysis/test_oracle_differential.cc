@@ -195,8 +195,8 @@ TEST(OracleDifferential, GrowthPastTheHintMovesCandidates)
 
 TEST(OracleDifferential, ClearThenRecross)
 {
-    // A table far larger than the interval, so reset() takes the
-    // per-slot path; the singleton {3, 3} must not outlive it.
+    // reset() zeroes only the filled slots; the singleton {3, 3}
+    // must not outlive it.
     PerfectProfiler flat(3, /*hint=*/4096);
     MapOracle map(3);
     Rng rng(3);

@@ -154,6 +154,22 @@ TEST(ProfilerConfig, EdgeCheckRefusesCountersThatCannotReachThreshold)
     EXPECT_FALSE(c.checkAtEdge().isOk());
 }
 
+TEST(ProfilerConfig, EdgeCheckRefusesIntervalsPastExactCounting)
+{
+    // The scoring oracle counts a tuple in 32 bits; an interval of at
+    // most UINT32_MAX events can never wrap it.
+    ProfilerConfig c;
+    c.counterBits = 32; // reaches the threshold count at any length
+    c.intervalLength = UINT32_MAX;
+    EXPECT_TRUE(c.checkAtEdge().isOk());
+    c.intervalLength = uint64_t{UINT32_MAX} + 1;
+    EXPECT_TRUE(c.check().isOk());
+    const Status refused = c.checkAtEdge();
+    EXPECT_EQ(refused.code(), StatusCode::InvalidArgument);
+    EXPECT_NE(refused.message().find("4294967296"), std::string::npos)
+        << refused.toString();
+}
+
 TEST(ProfilerConfigDeathTest, ValidateRejectsNonsense)
 {
     ProfilerConfig c;

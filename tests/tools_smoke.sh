@@ -124,7 +124,10 @@ expect_exit() {
 # A profiler config that cannot run is a usage error with an
 # "invalid argument" diagnostic: refused before the unsigned cast or
 # the profiler build, never a fatal: abort or a wrapped-around length.
-for bad in --interval-length=-1 --entries=-1 --tables=3; do
+# An interval past 2^32 - 1 events could wrap the oracle's 32-bit
+# counts, so it is refused up front as well.
+for bad in --interval-length=-1 --interval-length=4294967296 \
+    --entries=-1 --tables=3; do
     expect_exit 1 "$TOOLS/mhprof_run" --benchmark=li "$bad"
     grep -q "invalid argument" "$TMP/err.out" &&
         ! grep -q "fatal:" "$TMP/err.out" || {
