@@ -346,8 +346,8 @@ BENCHMARK(BM_PathWorkloadGeneration);
  * onEvents() with its kernel table pinned to one tier. Registered at
  * runtime for every tier this binary + CPU can run, so one JSON file
  * carries e.g. BM_IsaBatchedIngest/mh4/scalar next to .../avx2 —
- * tools/bench_check.py asserts the SIMD ≥ 1.5× scalar speedup on
- * exactly these series. Profilers capture their kernel table at
+ * CI's tools/bench_check.py gate asserts a SIMD ≥ 2.5× scalar speedup
+ * on exactly these series. Profilers capture their kernel table at
  * construction, so the pin wraps construction only.
  */
 void
@@ -381,33 +381,34 @@ BM_IsaBatchedIngest(benchmark::State &state, IsaTier tier)
 }
 
 /**
- * Per-ISA-tier hash-pipeline kernel: hashBlock over 256-tuple blocks
- * through one hasher (the stage the tier difference is made of,
- * without profiler bookkeeping around it).
+ * The hash kernel alone: ContributionTable::indexBlock over 256-tuple
+ * blocks for an n-member family at the paper's 2048 total entries
+ * (n = 1, 4, 8, 16: one word per entry up to mh8, two for mh16). The
+ * kernel is portable, so there is one series, not one per ISA tier.
  */
 void
-BM_IsaHashBlock(benchmark::State &state, IsaTier tier)
+BM_HashBlockMulti(benchmark::State &state)
 {
-    const IngestKernels *kern = ingestKernelsFor(tier);
-    MHP_REQUIRE(kern != nullptr, "tier not runnable here");
     constexpr size_t kBlock = 256;
-    const TupleHasher hasher(1, 2048);
+    const auto n = static_cast<unsigned>(state.range(0));
+    const TupleHasherFamily family(1, n, 2048 / n);
     const auto &tuples = stream();
-    std::vector<uint32_t> out(kBlock);
+    std::vector<uint32_t> out(kBlock * n);
     size_t pos = 0;
     int64_t events = 0;
     for (auto _ : state) {
-        const size_t n = std::min(kBlock, tuples.size() - pos);
-        kern->hashBlock(hasher.tableWords(), hasher.indexBits(),
-                        tuples.data() + pos, n, out.data());
+        const size_t m = std::min(kBlock, tuples.size() - pos);
+        family.contributions().indexBlock(tuples.data() + pos, m,
+                                          out.data(), 2048 / n);
         benchmark::DoNotOptimize(out.data());
-        pos += n;
+        pos += m;
         if (pos == tuples.size())
             pos = 0;
-        events += static_cast<int64_t>(n);
+        events += static_cast<int64_t>(m);
     }
     state.SetItemsProcessed(events);
 }
+BENCHMARK(BM_HashBlockMulti)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
 
 /** Register the per-tier series for every runnable tier. */
 void
@@ -422,9 +423,6 @@ registerIsaTierBenches()
         benchmark::RegisterBenchmark(
             ("BM_IsaBatchedIngest/mh4/" + name).c_str(),
             [tier](benchmark::State &s) { BM_IsaBatchedIngest(s, tier); });
-        benchmark::RegisterBenchmark(
-            ("BM_IsaHashBlock/" + name).c_str(),
-            [tier](benchmark::State &s) { BM_IsaHashBlock(s, tier); });
     }
 }
 

@@ -18,9 +18,10 @@
  * Layout contract (docs/PERF.md): one hasher's two 256-entry random
  * tables are a single contiguous block of 512 64-bit words — the PC
  * table at [0, 256), the value table at [256, 512) — and a family
- * packs its members' blocks back to back. The SIMD ingest kernels
- * (core/ingest_kernels.h) gather straight out of these blocks, so the
- * layout is part of the kernel ABI, not an implementation detail.
+ * packs its members' blocks back to back. These blocks are the source
+ * of the hashers' ContributionTable and the operand of the reference
+ * (kernel_ref::index / indexMulti); production ingest hashes through
+ * the ContributionTable only.
  */
 
 #ifndef MHP_CORE_HASH_FUNCTION_H
@@ -34,6 +35,80 @@
 #include "trace/tuple.h"
 
 namespace mhp {
+
+/**
+ * Byte-position contribution tables: every hash index of a hasher or
+ * family, precomputed per key byte (docs/PERF.md "Hashing").
+ *
+ * randomize XORs one rotated random-table word per key byte, and the
+ * steps after it (byteFlip, xor-fold) are linear over XOR. So a
+ * tuple's signature is the XOR, over its 16 key bytes (the 8 pc bytes
+ * from least significant up, then the 8 value bytes), of a word that
+ * depends only on the byte's position and value:
+ *
+ *     pc byte k = v:     byteFlip(rotl(pcTable[v], 8k))
+ *     value byte k = v:  rotl(valueTable[v], 8k)
+ *
+ * and each member's index is the XOR of those words' folds. The table
+ * stores every member's folded contribution as a fieldBits-wide field,
+ * ⌊64 / fieldBits⌋ fields per word: member i sits in word
+ * i / fieldsPerWord() at shift (i mod fieldsPerWord()) * fieldBits.
+ * XOR never carries across fields, so one 16-load XOR per word yields
+ * all of its members' indexes at once. Layout:
+ * [16 positions][256 byte values][wordsPerEntry() words], W x 32 KiB.
+ *
+ * fieldBits = 64 stores the unfolded contributions of one member; the
+ * XOR is then the signature itself (the stratified sampler's tags).
+ */
+class ContributionTable
+{
+  public:
+    /** Key-byte positions: 8 pc bytes, then 8 value bytes. */
+    static constexpr unsigned kPositions = 16;
+
+    /** Empty table (a family member's view hasher carries none). */
+    ContributionTable() = default;
+
+    /**
+     * Build from `members` consecutive 512-word pc||value blocks.
+     * @param fieldBits Index width in [1, 63], or 64 for unfolded
+     *        signatures (then members must be 1).
+     */
+    ContributionTable(const uint64_t *blocks, unsigned members,
+                      unsigned fieldBits);
+
+    /**
+     * The one hash kernel: for j in [0, m) and i in [0, members()),
+     *   out[j * members() + i] = member i's index of block[j]
+     *                            + i * addendStride
+     * == kernel_ref::indexMulti. `addendStride` pre-offsets each index
+     * into a structure-of-arrays counter bank. Folded tables only.
+     */
+    void indexBlock(const Tuple *block, size_t m, uint32_t *out,
+                    uint32_t addendStride) const;
+
+    /**
+     * out[j] = the unfolded signature of block[j]
+     * (== kernel_ref::signature). fieldBits = 64 tables only.
+     */
+    void signatureBlock(const Tuple *block, size_t m,
+                        uint64_t *out) const;
+
+    unsigned members() const { return numMembers; }
+    unsigned fieldBits() const { return bits; }
+    unsigned fieldsPerWord() const { return perWord; }
+    unsigned wordsPerEntry() const { return width; }
+
+    /** The packed words, [position][byte value][word]. */
+    const uint64_t *data() const { return words.data(); }
+
+  private:
+    std::vector<uint64_t> words;
+    unsigned numMembers = 0;
+    unsigned bits = 0;
+    unsigned perWord = 0;
+    unsigned width = 0;
+};
 
 /** One hardware hash function over tuples. */
 class TupleHasher
@@ -53,7 +128,8 @@ class TupleHasher
     /**
      * View over an externally owned, already-filled 512-word table
      * block (a TupleHasherFamily's contiguous storage). The block must
-     * outlive the hasher.
+     * outlive the hasher. A view builds no ContributionTable: the
+     * family's table hashes all of its members.
      */
     TupleHasher(const uint64_t *tables, uint64_t tableSize);
 
@@ -79,10 +155,9 @@ class TupleHasher
     uint64_t signature(const Tuple &t) const;
 
     /**
-     * Header-inline index computation for ingest loops.
-     * Bit-identical to index(); kept separate so index() stays the
-     * out-of-line loop-form reference while onEvents() kernels fold
-     * the whole randomize/flip/fold pipeline into their inner loops.
+     * Header-inline index computation (kernel_ref::index over this
+     * hasher's block) for one-off repairs inside ingest loops.
+     * Bit-identical to index().
      */
     uint64_t
     indexHot(const Tuple &t) const
@@ -91,9 +166,12 @@ class TupleHasher
     }
 
     /**
-     * This hasher's 512-word pc||value table block — the `tables`
-     * argument of the ingest kernels.
+     * This hasher's contribution table (one member, indexBits() wide);
+     * empty for a family member's view.
      */
+    const ContributionTable &contributions() const { return packed; }
+
+    /** This hasher's 512-word pc||value random-table block. */
     const uint64_t *tableWords() const { return words; }
 
     uint64_t tableSize() const { return size; }
@@ -106,6 +184,8 @@ class TupleHasher
     const uint64_t *words;
     uint64_t size;
     unsigned bits;
+    /** Built from `own`; empty for a view. */
+    ContributionTable packed;
 };
 
 /** n independent hash functions for an n-table multi-hash profiler. */
@@ -131,22 +211,22 @@ class TupleHasherFamily
     const TupleHasher &function(unsigned i) const { return members[i]; }
     unsigned size() const { return members.size(); }
 
+    /** Every member's index width (log2 of the table size). */
+    unsigned indexBits() const { return members[0].indexBits(); }
+
+    /** All members' indexes in one table (ContributionTable). */
+    const ContributionTable &contributions() const { return packed; }
+
     /**
      * All members' table blocks, contiguous: member i's 512-word
      * pc||value block starts at tableWords() + i * kTableWords.
      */
     const uint64_t *tableWords() const { return words.data(); }
 
-    /** Member i's 512-word block (== function(i).tableWords()). */
-    const uint64_t *
-    memberTables(unsigned i) const
-    {
-        return words.data() + i * TupleHasher::kTableWords;
-    }
-
   private:
     std::vector<uint64_t> words;
     std::vector<TupleHasher> members;
+    ContributionTable packed;
 };
 
 } // namespace mhp

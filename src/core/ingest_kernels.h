@@ -3,26 +3,24 @@
  * The vectorized batched-ingest kernel registry (docs/PERF.md).
  *
  * One IngestKernels table exists per ISA tier (support/cpu.h); the
- * batched onEvents() paths of the hash profilers and the stratified
- * sampler resolve a table once at construction and call through it.
- * Every entry is *bit-identical* to the scalar reference — the tier
- * choice can change throughput, never output. The reference
- * definitions the kernels must match live in ingest_kernels_ref.h and
- * mirror TupleHasher::indexHot() / TupleHash / the saturating counter
- * update loops exactly; tests/core/test_ingest_kernels.cc asserts the
- * match per tier, and the ctest MHP_FORCE_ISA matrix re-runs the
- * profiler-level reference-model suites (onEvents at several block
- * sizes against straight-line per-event specs) under each tier.
+ * batched onEvents() paths of the hash profilers resolve a table once
+ * at construction and call through it. The table covers the phases
+ * that are vector work: the simulator-side TupleHash, the accumulator
+ * probe, and the counter-bank bump runs. Every entry is *bit-identical*
+ * to the scalar reference — the tier choice can change throughput,
+ * never output. The reference definitions the kernels must match live
+ * in ingest_kernels_ref.h and mirror TupleHash and the saturating
+ * counter update loops exactly; tests/core/test_ingest_kernels.cc
+ * asserts the match per tier, and the ctest MHP_FORCE_ISA matrix
+ * re-runs the profiler-level reference-model suites (onEvents at
+ * several block sizes against straight-line per-event specs) under
+ * each tier.
  *
- * Every hash entry is sequential (no position lists or output
- * strides): the probe kernel already emits absent tuples densely
- * compacted, so no caller needs a gather form.
+ * Hash indexes are not here: every profiler reads them out of its
+ * hasher's ContributionTable (core/hash_function.h), one portable
+ * kernel for every tier.
  *
  * Layout contracts (what makes the kernels gather-friendly):
- *  - Hash tables: one hasher = 512 contiguous 64-bit words, the PC
- *    random table at [0,256) and the value table at [256,512)
- *    (TupleHasher::tableWords()); a family packs its members'
- *    512-word blocks back to back.
  *  - Counters: a multi-hash profiler's n tables live in one
  *    structure-of-arrays block, table i at offset i*entriesPerTable
  *    (CounterBank); hash indexes are produced pre-offset so counter
@@ -116,41 +114,6 @@ struct IngestKernels
     IsaTier tier;
 
     /**
-     * Hash a block of tuples through one hasher: for j in [0, m),
-     *   out[j] = index(block[j])
-     * where index() is TupleHasher::indexHot() over `tables` (the
-     * 512-word pc||value block) folded to `bits`. Shielded callers
-     * pass the probe kernel's densely compacted absent tuples, so
-     * loads and stores are always sequential.
-     */
-    void (*hashBlock)(const uint64_t *tables, unsigned bits,
-                      const Tuple *block, size_t m, uint32_t *out);
-
-    /**
-     * Hash a block of tuples through numTables packed hashers in one
-     * fused pass — the multi-hash phase-2 workhorse. For j in [0, m)
-     * and i in [0, numTables):
-     *   out[j * numTables + i] =
-     *       index(tables + i*512, block[j]) + i * addendStride
-     * `addendStride` bakes the counter bank's structure-of-arrays
-     * table offset into the produced indexes. The tuple block is
-     * loaded, split into lanes, and byte-decomposed once instead of
-     * once per table.
-     */
-    void (*hashBlockMulti)(const uint64_t *tables, unsigned numTables,
-                           unsigned bits, const Tuple *block, size_t m,
-                           uint32_t *out, uint32_t addendStride);
-
-    /**
-     * Unfolded hash signatures for a block of tuples:
-     * out[j] = byteFlip(randomize_pc(first)) ^ randomize_val(second).
-     * The stratified sampler derives both its index (xor-fold) and its
-     * partial tag from the signature.
-     */
-    void (*signatureBlock)(const uint64_t *tables, const Tuple *block,
-                           size_t m, uint64_t *out);
-
-    /**
      * The simulator-side TupleHash for a block of tuples
      * (out[j] = TupleHash{}(block[j])) — the accumulator-hit filter
      * derives each tuple's tag-group probe index (accum_layout) from
@@ -159,30 +122,14 @@ struct IngestKernels
     void (*tupleHashBlock)(const Tuple *block, size_t m, uint64_t *out);
 
     /**
-     * Saturating +1 on n structure-of-arrays counters (soa[idx[i]],
-     * indexes pre-offset per table); returns the post-increment
-     * minimum across the n counters.
-     */
-    uint64_t (*bumpMin)(uint64_t *soa, const uint32_t *idx, unsigned n,
-                        uint64_t saturation);
-
-    /**
-     * The conservative-update (C1) variant: only the counters at the
-     * pre-increment minimum advance (saturating); returns the
-     * post-update minimum across all n counters.
-     */
-    uint64_t (*bumpMinConservative)(uint64_t *soa, const uint32_t *idx,
-                                    unsigned n, uint64_t saturation);
-
-    /**
      * Probe a whole block against the accumulator's tag-group index
      * (the phase-1 shield check, vectorized): for k in [0, m),
      * slots[k] becomes the slot of block[k] or UINT32_MAX when
      * absent, with hashes[k] == TupleHash{}(block[k]) precomputed by
      * tupleHashBlock. The absent positions are compacted, in stream
      * order, into absentPos[0..return), their tuples into
-     * absentTuples[0..return) (ready for the sequential hash kernels
-     * with no gather pass), and the hit positions into
+     * absentTuples[0..return) (ready for the sequential hash pass
+     * with no gather), and the hit positions into
      * hitPos[0..m - return). Every event lands on exactly one list, so
      * all three compactions are unconditional stores in the kernel —
      * the tuple is already in registers for the key compare — while
@@ -199,15 +146,17 @@ struct IngestKernels
                               uint32_t *hitPos);
 
     /**
-     * bumpMin over a run of absent events in one call: for j in
-     * [start, numAbsent), apply bumpMin(soa, idx + j * n) in order,
-     * stopping at the first j whose post-update minimum reaches
-     * `threshold` (the promotion trigger). Returns that j with
+     * The saturating multi-table bump over a run of absent events in
+     * one call: for j in [start, numAbsent), apply
+     * kernel_ref::bumpMin(soa, idx + j * n) in order (+1 on each of
+     * the event's n pre-offset counters, saturating), stopping at the
+     * first j whose post-update minimum reaches `threshold` (the
+     * promotion trigger). Returns that j with
      * *stopMin set to its minimum — counters of events after j are
      * untouched — or numAbsent when no event crosses. `idx` holds the
      * absent events' pre-offset indexes densely packed in stream order
      * (the caller compacts the absent tuples before hashing, so both
-     * the hash kernel's writes and this kernel's reads are
+     * the hash pass's writes and this kernel's reads are
      * sequential). Fusing the run into one call lets a tier hoist
      * constants and process independent events wider than one at a
      * time; the per-event counter updates still land in stream order
@@ -218,7 +167,11 @@ struct IngestKernels
                            uint64_t saturation, uint64_t threshold,
                            uint64_t *stopMin);
 
-    /** bumpMinBlock with the conservative-update (C1) rule. */
+    /**
+     * bumpMinBlock with the conservative-update (C1) rule
+     * (kernel_ref::bumpMinConservative: only the counters at the
+     * pre-increment minimum advance).
+     */
     size_t (*bumpMinConservativeBlock)(uint64_t *soa,
                                        const uint32_t *idx, unsigned n,
                                        size_t start, size_t numAbsent,

@@ -2,15 +2,12 @@
  * @file
  * AVX2 ingest kernels: four 64-bit lanes per instruction.
  *
- * The hash pipeline processes four tuples per iteration for one
- * hasher: the eight per-byte random-table lookups become
- * vpgatherqq's over the 2 KiB (L1-resident) table, the byte-position
- * rotates are constant-amount vector shifts, the paper's "flip" is a
- * per-lane vpshufb byte reverse, and the xor-fold runs as vector
- * shift/and/xor rounds. The counter kernels gather the n
- * structure-of-arrays counters of one event, do the saturating add
- * (and the C1 min-select) as vector compare/sub, and write back with
- * scalar lane extracts (AVX2 has no scatter).
+ * The TupleHash multiply chain runs four tuples per iteration. The
+ * counter kernels gather the n structure-of-arrays counters of one
+ * event, do the saturating add (and the C1 min-select) as vector
+ * compare/sub, and write back with scalar lane extracts (AVX2 has no
+ * scatter). Hash indexes come from the portable ContributionTable
+ * kernel (core/hash_function.h), not from a tier.
  *
  * Everything here must match ingest_kernels_ref.h bit for bit; ragged
  * tails (m % 4, n % 4) run the reference bodies directly.
@@ -30,119 +27,6 @@ namespace {
 static_assert(sizeof(Tuple) == 16,
               "AVX2 tuple loads assume a packed pair of u64");
 
-/** Rotate each 64-bit lane left by a compile-time amount. */
-template <int R>
-inline __m256i
-rotl4(__m256i v)
-{
-    if constexpr (R == 0)
-        return v;
-    return _mm256_or_si256(_mm256_slli_epi64(v, R),
-                           _mm256_srli_epi64(v, 64 - R));
-}
-
-/** One kernel_ref::randomize round: lookup byte I of v, rotate, accumulate.
- *  The byte index is extracted per round rather than hoisted: eight
- *  live byte vectors per input would exhaust the 16-register ymm file
- *  and spill around every gather. */
-template <int I>
-inline __m256i
-randRound(const long long *tb, __m256i v, __m256i byteMask, __m256i r)
-{
-    const __m256i byte =
-        _mm256_and_si256(_mm256_srli_epi64(v, 8 * I), byteMask);
-    const __m256i word = _mm256_i64gather_epi64(tb, byte, 8);
-    return _mm256_xor_si256(r, rotl4<8 * I>(word));
-}
-
-/** kernel_ref::randomize on four lanes. */
-inline __m256i
-randomize4(const uint64_t *table, __m256i v)
-{
-    const long long *tb = reinterpret_cast<const long long *>(table);
-    const __m256i byteMask = _mm256_set1_epi64x(0xff);
-    __m256i r = _mm256_i64gather_epi64(
-        tb, _mm256_and_si256(v, byteMask), 8);
-    r = randRound<1>(tb, v, byteMask, r);
-    r = randRound<2>(tb, v, byteMask, r);
-    r = randRound<3>(tb, v, byteMask, r);
-    r = randRound<4>(tb, v, byteMask, r);
-    r = randRound<5>(tb, v, byteMask, r);
-    r = randRound<6>(tb, v, byteMask, r);
-    r = randRound<7>(tb, v, byteMask, r);
-    return r;
-}
-
-/** byteFlip (bswap64) on each lane. */
-inline __m256i
-byteFlip4(__m256i v)
-{
-    const __m256i m = _mm256_setr_epi8(
-        7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8,
-        7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8);
-    return _mm256_shuffle_epi8(v, m);
-}
-
-/** The unfolded signature for four tuples already split pc/value. */
-inline __m256i
-signature4(const uint64_t *tables, __m256i pc, __m256i val)
-{
-    const __m256i npc = byteFlip4(randomize4(tables, pc));
-    const __m256i nv = randomize4(tables + 256, val);
-    return _mm256_xor_si256(npc, nv);
-}
-
-/** One compile-time xorFoldHot round at shift S, recursing by Bits. */
-template <unsigned Bits, unsigned S>
-inline __m256i
-fold4Step(__m256i sig, __m256i mask, __m256i r)
-{
-    r = _mm256_xor_si256(
-        r, _mm256_and_si256(
-               _mm256_srli_epi64(sig, static_cast<int>(S)), mask));
-    if constexpr (S + Bits < 64)
-        return fold4Step<Bits, S + Bits>(sig, mask, r);
-    else
-        return r;
-}
-
-/** xorFoldHot with the fold width fixed at compile time: the rounds
- *  fully unroll with immediate shift counts. */
-template <unsigned Bits>
-inline __m256i
-fold4Fixed(__m256i sig)
-{
-    const __m256i mask =
-        _mm256_set1_epi64x(static_cast<long long>((1ULL << Bits) - 1));
-    return fold4Step<Bits, 0>(sig, mask, _mm256_setzero_si256());
-}
-
-/** xorFoldHot on four lanes (same round count for every lane). The
- *  common table widths dispatch to the unrolled fixed-width forms; the
- *  generic loop covers the rest. */
-inline __m256i
-fold4(__m256i sig, unsigned bits)
-{
-    switch (bits) {
-      case 8: return fold4Fixed<8>(sig);
-      case 9: return fold4Fixed<9>(sig);
-      case 10: return fold4Fixed<10>(sig);
-      case 11: return fold4Fixed<11>(sig);
-      case 12: return fold4Fixed<12>(sig);
-      case 13: return fold4Fixed<13>(sig);
-      default: break;
-    }
-    const __m256i mask =
-        _mm256_set1_epi64x(static_cast<long long>((1ULL << bits) - 1));
-    __m256i r = _mm256_setzero_si256();
-    for (unsigned s = 0; s < 64; s += bits) {
-        const __m128i count = _mm_cvtsi32_si128(static_cast<int>(s));
-        r = _mm256_xor_si256(
-            r, _mm256_and_si256(_mm256_srl_epi64(sig, count), mask));
-    }
-    return r;
-}
-
 /** Split four consecutive tuples into a pc vector and a value vector. */
 inline void
 loadTuples4(const Tuple *p, __m256i &pc, __m256i &val)
@@ -156,75 +40,6 @@ loadTuples4(const Tuple *p, __m256i &pc, __m256i &val)
     const __m256i pb = _mm256_permute4x64_epi64(b, _MM_SHUFFLE(3, 1, 2, 0));
     pc = _mm256_permute2x128_si256(pa, pb, 0x20);
     val = _mm256_permute2x128_si256(pa, pb, 0x31);
-}
-
-void
-hashBlockAvx2(const uint64_t *tables, unsigned bits, const Tuple *block,
-              size_t m, uint32_t *out)
-{
-    size_t j = 0;
-    for (; j + 4 <= m; j += 4) {
-        __m256i pc, val;
-        loadTuples4(block + j, pc, val);
-        const __m256i idx = fold4(signature4(tables, pc, val), bits);
-        out[j] = static_cast<uint32_t>(_mm256_extract_epi64(idx, 0));
-        out[j + 1] = static_cast<uint32_t>(_mm256_extract_epi64(idx, 1));
-        out[j + 2] = static_cast<uint32_t>(_mm256_extract_epi64(idx, 2));
-        out[j + 3] = static_cast<uint32_t>(_mm256_extract_epi64(idx, 3));
-    }
-    for (; j < m; ++j)
-        out[j] = static_cast<uint32_t>(
-            kernel_ref::index(tables, bits, block[j]));
-}
-
-void
-hashBlockMultiAvx2(const uint64_t *tables, unsigned numTables,
-                   unsigned bits, const Tuple *block, size_t m,
-                   uint32_t *out, uint32_t addendStride)
-{
-    size_t j = 0;
-    for (; j + 4 <= m; j += 4) {
-        __m256i pc, val;
-        loadTuples4(block + j, pc, val);
-        // The tuple load and lane split happen once; only the per-
-        // table work (gathers from a different base, fold) repeats.
-        // Two live vectors (pc, val) across the table loop keep the
-        // register pressure identical to the single-table kernel.
-        uint32_t *const row = out + j * numTables;
-        for (unsigned i = 0; i < numTables; ++i) {
-            const uint64_t *tb = tables + i * kernel_ref::kTableWords;
-            const __m256i add = _mm256_set1_epi64x(
-                static_cast<long long>(i * addendStride));
-            const __m256i idx = _mm256_add_epi64(
-                fold4(signature4(tb, pc, val), bits), add);
-            row[i] =
-                static_cast<uint32_t>(_mm256_extract_epi64(idx, 0));
-            row[numTables + i] =
-                static_cast<uint32_t>(_mm256_extract_epi64(idx, 1));
-            row[2 * numTables + i] =
-                static_cast<uint32_t>(_mm256_extract_epi64(idx, 2));
-            row[3 * numTables + i] =
-                static_cast<uint32_t>(_mm256_extract_epi64(idx, 3));
-        }
-    }
-    for (; j < m; ++j)
-        kernel_ref::indexMulti(tables, numTables, bits, block[j],
-                               addendStride, out + j * numTables);
-}
-
-void
-signatureBlockAvx2(const uint64_t *tables, const Tuple *block, size_t m,
-                   uint64_t *out)
-{
-    size_t j = 0;
-    for (; j + 4 <= m; j += 4) {
-        __m256i pc, val;
-        loadTuples4(block + j, pc, val);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + j),
-                            signature4(tables, pc, val));
-    }
-    for (; j < m; ++j)
-        out[j] = kernel_ref::signature(tables, block[j]);
 }
 
 /** Multiply each 64-bit lane by a 64-bit constant (low-64 result). */
@@ -540,12 +355,7 @@ ingestKernelsAvx2()
 {
     static const IngestKernels table = {
         IsaTier::Avx2,
-        hashBlockAvx2,
-        hashBlockMultiAvx2,
-        signatureBlockAvx2,
         tupleHashBlockAvx2,
-        bumpMinAvx2,
-        bumpMinConservativeAvx2,
         accumProbeBlockAvx2,
         bumpMinBlockAvx2,
         bumpMinConservativeBlockAvx2,

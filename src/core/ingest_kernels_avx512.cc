@@ -2,16 +2,20 @@
  * @file
  * AVX-512 ingest kernels: eight 64-bit lanes per instruction.
  *
- * The hash pipeline is the AVX2 kernel widened to zmm: eight tuples per
- * iteration, per-byte table lookups as zmm vpgatherqq over the 2 KiB
- * L1-resident table, native vprolq for the byte-position rotates (AVX2
- * needed shift/shift/or), vpshufb byte reverse for the paper's "flip",
- * and immediate-shift xor-fold rounds. The counter kernels switch to
- * the EVEX mask registers: saturation and the C1 min-select become
- * unsigned compare masks feeding masked adds, and results scatter back
- * with vpscatterqq instead of AVX2's per-lane extracts, so no signed-
+ * The TupleHash multiply chain runs eight tuples per iteration with
+ * the native 64-bit vpmullq. The counter kernels switch to the EVEX
+ * mask registers: saturation and the C1 min-select become unsigned
+ * compare masks feeding masked adds, and results scatter back with
+ * vpscatterqq instead of AVX2's per-lane extracts, so no signed-
  * compare bias (kSignedSafe) is needed at this tier. The tag-group
- * probe compares a 16-lane group with one byte-compare-to-mask.
+ * probe compares a 16-lane group with one byte-compare-to-mask. Hash
+ * indexes come from the portable ContributionTable kernel
+ * (core/hash_function.h), not from a tier.
+ *
+ * Gathers, permutes, extracts, unsigned mins, vpmullq and shifts use
+ * the masked forms with an explicit zero source (kAll8): their
+ * unmasked intrinsics take an undefined source operand, which gcc 12
+ * reports as maybe-uninitialized.
  *
  * Everything here must match ingest_kernels_ref.h bit for bit; ragged
  * tails (m % 8, n % 4) run the reference bodies directly.
@@ -33,6 +37,9 @@ namespace {
 static_assert(sizeof(Tuple) == 16,
               "AVX-512 tuple loads assume a packed pair of u64");
 
+/** Every lane of a 512-bit vector of u64 (the masked forms' mask). */
+constexpr __mmask8 kAll8 = 0xff;
+
 /** Split eight consecutive tuples into a pc vector and a value vector
  *  (two 512-bit loads and two cross-register element selects). */
 inline void
@@ -44,167 +51,6 @@ loadTuples8(const Tuple *p, __m512i &pc, __m512i &val)
     const __m512i vidx = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
     pc = _mm512_permutex2var_epi64(a, pidx, b);
     val = _mm512_permutex2var_epi64(a, vidx, b);
-}
-
-/** One kernel_ref::randomize round: lookup byte I of v, rotate, accumulate. */
-template <int I>
-inline __m512i
-randRound8(const long long *tb, __m512i v, __m512i byteMask, __m512i r)
-{
-    const __m512i byte =
-        _mm512_and_si512(_mm512_srli_epi64(v, 8 * I), byteMask);
-    const __m512i word = _mm512_i64gather_epi64(byte, tb, 8);
-    return _mm512_xor_si512(r, _mm512_rol_epi64(word, (8 * I) & 63));
-}
-
-/** kernel_ref::randomize on eight lanes. */
-inline __m512i
-randomize8(const uint64_t *table, __m512i v)
-{
-    const long long *tb = reinterpret_cast<const long long *>(table);
-    const __m512i byteMask = _mm512_set1_epi64(0xff);
-    __m512i r = _mm512_i64gather_epi64(_mm512_and_si512(v, byteMask),
-                                       tb, 8);
-    r = randRound8<1>(tb, v, byteMask, r);
-    r = randRound8<2>(tb, v, byteMask, r);
-    r = randRound8<3>(tb, v, byteMask, r);
-    r = randRound8<4>(tb, v, byteMask, r);
-    r = randRound8<5>(tb, v, byteMask, r);
-    r = randRound8<6>(tb, v, byteMask, r);
-    r = randRound8<7>(tb, v, byteMask, r);
-    return r;
-}
-
-/** byteFlip (bswap64) on each lane. */
-inline __m512i
-byteFlip8(__m512i v)
-{
-    const __m512i m = _mm512_set_epi8(
-        8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7,
-        8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7,
-        8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7,
-        8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7);
-    return _mm512_shuffle_epi8(v, m);
-}
-
-/** The unfolded signature for eight tuples already split pc/value. */
-inline __m512i
-signature8(const uint64_t *tables, __m512i pc, __m512i val)
-{
-    const __m512i npc = byteFlip8(randomize8(tables, pc));
-    const __m512i nv = randomize8(tables + 256, val);
-    return _mm512_xor_si512(npc, nv);
-}
-
-/** One compile-time xorFoldHot round at shift S, recursing by Bits. */
-template <unsigned Bits, unsigned S>
-inline __m512i
-fold8Step(__m512i sig, __m512i mask, __m512i r)
-{
-    r = _mm512_xor_si512(
-        r, _mm512_and_si512(
-               _mm512_srli_epi64(sig, static_cast<int>(S)), mask));
-    if constexpr (S + Bits < 64)
-        return fold8Step<Bits, S + Bits>(sig, mask, r);
-    else
-        return r;
-}
-
-template <unsigned Bits>
-inline __m512i
-fold8Fixed(__m512i sig)
-{
-    const __m512i mask =
-        _mm512_set1_epi64(static_cast<long long>((1ULL << Bits) - 1));
-    return fold8Step<Bits, 0>(sig, mask, _mm512_setzero_si512());
-}
-
-/** xorFoldHot on eight lanes; common widths fully unrolled. */
-inline __m512i
-fold8(__m512i sig, unsigned bits)
-{
-    switch (bits) {
-      case 8: return fold8Fixed<8>(sig);
-      case 9: return fold8Fixed<9>(sig);
-      case 10: return fold8Fixed<10>(sig);
-      case 11: return fold8Fixed<11>(sig);
-      case 12: return fold8Fixed<12>(sig);
-      case 13: return fold8Fixed<13>(sig);
-      default: break;
-    }
-    const __m512i mask =
-        _mm512_set1_epi64(static_cast<long long>((1ULL << bits) - 1));
-    __m512i r = _mm512_setzero_si512();
-    for (unsigned s = 0; s < 64; s += bits) {
-        r = _mm512_xor_si512(
-            r, _mm512_and_si512(
-                   _mm512_srlv_epi64(
-                       sig, _mm512_set1_epi64(static_cast<long long>(s))),
-                   mask));
-    }
-    return r;
-}
-
-void
-hashBlockAvx512(const uint64_t *tables, unsigned bits,
-                const Tuple *block, size_t m, uint32_t *out)
-{
-    size_t j = 0;
-    for (; j + 8 <= m; j += 8) {
-        __m512i pc, val;
-        loadTuples8(block + j, pc, val);
-        const __m512i idx = fold8(signature8(tables, pc, val), bits);
-        // Truncating narrow: lane l's low 32 bits land in out[j + l].
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + j),
-                            _mm512_cvtepi64_epi32(idx));
-    }
-    for (; j < m; ++j)
-        out[j] = static_cast<uint32_t>(
-            kernel_ref::index(tables, bits, block[j]));
-}
-
-void
-hashBlockMultiAvx512(const uint64_t *tables, unsigned numTables,
-                     unsigned bits, const Tuple *block, size_t m,
-                     uint32_t *out, uint32_t addendStride)
-{
-    size_t j = 0;
-    for (; j + 8 <= m; j += 8) {
-        __m512i pc, val;
-        loadTuples8(block + j, pc, val);
-        // Tuple load and lane split happen once; only the per-table
-        // gathers and fold repeat, with pc/val the only long-lived
-        // vectors across the table loop.
-        uint32_t *const row = out + j * numTables;
-        for (unsigned i = 0; i < numTables; ++i) {
-            const uint64_t *tb = tables + i * kernel_ref::kTableWords;
-            const __m512i idx = _mm512_add_epi64(
-                fold8(signature8(tb, pc, val), bits),
-                _mm512_set1_epi64(
-                    static_cast<long long>(i * addendStride)));
-            alignas(64) uint64_t lane[8];
-            _mm512_store_si512(lane, idx);
-            for (unsigned l = 0; l < 8; ++l)
-                row[l * numTables + i] = static_cast<uint32_t>(lane[l]);
-        }
-    }
-    for (; j < m; ++j)
-        kernel_ref::indexMulti(tables, numTables, bits, block[j],
-                               addendStride, out + j * numTables);
-}
-
-void
-signatureBlockAvx512(const uint64_t *tables, const Tuple *block,
-                     size_t m, uint64_t *out)
-{
-    size_t j = 0;
-    for (; j + 8 <= m; j += 8) {
-        __m512i pc, val;
-        loadTuples8(block + j, pc, val);
-        _mm512_storeu_si512(out + j, signature8(tables, pc, val));
-    }
-    for (; j < m; ++j)
-        out[j] = kernel_ref::signature(tables, block[j]);
 }
 
 void
@@ -222,12 +68,17 @@ tupleHashBlockAvx512(const Tuple *block, size_t m, uint64_t *out)
         __m512i pc, val;
         loadTuples8(block + j, pc, val);
         __m512i z = _mm512_add_epi64(
-            pc, _mm512_mullo_epi64(_mm512_add_epi64(val, one), c1));
-        z = _mm512_mullo_epi64(
-            _mm512_xor_si512(z, _mm512_srli_epi64(z, 30)), c2);
-        z = _mm512_mullo_epi64(
-            _mm512_xor_si512(z, _mm512_srli_epi64(z, 27)), c3);
-        z = _mm512_xor_si512(z, _mm512_srli_epi64(z, 31));
+            pc, _mm512_maskz_mullo_epi64(
+                    kAll8, _mm512_add_epi64(val, one), c1));
+        z = _mm512_maskz_mullo_epi64(
+            kAll8,
+            _mm512_xor_si512(z, _mm512_maskz_srli_epi64(kAll8, z, 30)),
+            c2);
+        z = _mm512_maskz_mullo_epi64(
+            kAll8,
+            _mm512_xor_si512(z, _mm512_maskz_srli_epi64(kAll8, z, 27)),
+            c3);
+        z = _mm512_xor_si512(z, _mm512_maskz_srli_epi64(kAll8, z, 31));
         _mm512_storeu_si512(out + j, z);
     }
     for (; j < m; ++j)
@@ -489,16 +340,18 @@ bumpMinConservativeBlockAvx512(uint64_t *soa, const uint32_t *idx,
             const __m128i iv0 = _mm256_castsi256_si128(iv);
             const __m128i iv1 = _mm256_extracti128_si256(iv, 1);
             const __mmask8 shared = _mm_cmpeq_epi32_mask(iv0, iv1);
-            const __m512i vals = _mm512_i32gather_epi64(iv, soa, 8);
-            const __m512i swap1 = _mm512_min_epu64(
-                vals, _mm512_permutex_epi64(vals, 0xB1));
-            const __m512i mins = _mm512_min_epu64(
-                swap1, _mm512_permutex_epi64(swap1, 0x4E));
-            const uint64_t min0 = static_cast<uint64_t>(
-                _mm_cvtsi128_si64(_mm512_castsi512_si128(mins)));
-            const uint64_t min1 = static_cast<uint64_t>(
-                _mm_cvtsi128_si64(_mm256_castsi256_si128(
-                    _mm512_extracti64x4_epi64(mins, 1))));
+            const __m512i vals = _mm512_mask_i32gather_epi64(
+                _mm512_setzero_si512(), kAll8, iv, soa, 8);
+            const __m512i swap1 = _mm512_maskz_min_epu64(
+                kAll8, vals,
+                _mm512_maskz_permutex_epi64(kAll8, vals, 0xB1));
+            const __m512i mins = _mm512_maskz_min_epu64(
+                kAll8, swap1,
+                _mm512_maskz_permutex_epi64(kAll8, swap1, 0x4E));
+            const uint64_t min0 = static_cast<uint64_t>(_mm_cvtsi128_si64(
+                _mm512_maskz_extracti64x2_epi64(0x3, mins, 0)));
+            const uint64_t min1 = static_cast<uint64_t>(_mm_cvtsi128_si64(
+                _mm512_maskz_extracti64x2_epi64(0x3, mins, 2)));
             const unsigned slow =
                 static_cast<unsigned>(shared != 0) |
                 static_cast<unsigned>(min0 + 1 >= threshold) |
@@ -541,12 +394,7 @@ ingestKernelsAvx512()
 {
     static const IngestKernels table = {
         IsaTier::Avx512,
-        hashBlockAvx512,
-        hashBlockMultiAvx512,
-        signatureBlockAvx512,
         tupleHashBlockAvx512,
-        bumpMinAvx512,
-        bumpMinConservativeAvx512,
         accumProbeBlockAvx512,
         bumpMinBlockAvx512,
         bumpMinConservativeBlockAvx512,

@@ -3,13 +3,16 @@
  * Scalar reference bodies for the batched-ingest kernels — the single
  * source of truth every SIMD tier must match bit for bit.
  *
- * The hash helpers restate TupleHasher::indexHot() (randomize →
- * byteFlip → xorFoldHot) over a raw 512-word table block; the counter
- * helpers restate the saturating-update loops of the profilers'
- * ingestBatch() state machines. The scalar kernel table uses these
- * directly, and the SIMD kernels use them for ragged tails and narrow
- * fallbacks, so "portable scalar" and "vector remainder" can never
- * drift apart.
+ * The hash helpers restate the paper's pipeline (randomize → byteFlip
+ * → xorFoldHot) over a raw 512-word table block: they are the
+ * reference the ContributionTable kernel (core/hash_function.h) is
+ * tested against, and the one-tuple repair paths call them directly.
+ * The counter helpers restate the saturating-update loops of the
+ * profilers' ingestBatch() state machines; the scalar kernel table
+ * uses these directly, the SIMD kernels use them for ragged tails and
+ * narrow fallbacks, and the profilers call the per-event bumps on
+ * their rare paths (the tail after a mid-block promotion, the
+ * !Shielding ablation).
  */
 
 #ifndef MHP_CORE_INGEST_KERNELS_REF_H

@@ -2,12 +2,14 @@
  * @file
  * SSE4.2 ingest kernels: two 64-bit lanes per instruction.
  *
- * Pre-AVX2 x86 has no gather, so the per-byte random-table lookups
- * stay scalar loads placed into vector lanes; the rotates, xors, byte
- * flip, xor-fold and saturating-counter arithmetic run two lanes
- * wide. The tier's value is mostly completeness — it exercises the
- * dispatch path on older x86 and halves the ALU work of the hash
- * composition — while AVX2 is where the real win lives.
+ * The TupleHash multiply chain and the saturating-counter arithmetic
+ * run two lanes wide; the tag-group probe compares a 16-lane group in
+ * one byte compare. Pre-AVX2 x86 has no gather, so counter loads stay
+ * scalar loads placed into vector lanes. The tier's value is mostly
+ * completeness — it exercises the dispatch path on older x86 — while
+ * AVX2 is where the real win lives. Hash indexes come from the
+ * portable ContributionTable kernel (core/hash_function.h), not from
+ * a tier.
  *
  * Bit-identical to ingest_kernels_ref.h; ragged tails run the
  * reference bodies.
@@ -18,7 +20,6 @@
 #if defined(__SSE4_2__) && defined(__x86_64__)
 
 #include <nmmintrin.h>
-#include <tmmintrin.h>
 
 #include "core/ingest_kernels_ref.h"
 
@@ -27,221 +28,6 @@ namespace {
 
 static_assert(sizeof(Tuple) == 16,
               "SSE4.2 tuple loads assume a packed pair of u64");
-
-template <int R>
-inline __m128i
-rotl2(__m128i v)
-{
-    if constexpr (R == 0)
-        return v;
-    return _mm_or_si128(_mm_slli_epi64(v, R), _mm_srli_epi64(v, 64 - R));
-}
-
-/** One kernel_ref::randomize round for byte position I of two inputs. */
-template <int I>
-inline __m128i
-randRound(const uint64_t *tb, uint64_t v0, uint64_t v1, __m128i r)
-{
-    const __m128i word = _mm_set_epi64x(
-        static_cast<long long>(tb[static_cast<uint8_t>(v1 >> (8 * I))]),
-        static_cast<long long>(tb[static_cast<uint8_t>(v0 >> (8 * I))]));
-    return _mm_xor_si128(r, rotl2<8 * I>(word));
-}
-
-/** kernel_ref::randomize on two lanes. */
-inline __m128i
-randomize2(const uint64_t *tb, uint64_t v0, uint64_t v1)
-{
-    __m128i r = _mm_set_epi64x(
-        static_cast<long long>(tb[static_cast<uint8_t>(v1)]),
-        static_cast<long long>(tb[static_cast<uint8_t>(v0)]));
-    r = randRound<1>(tb, v0, v1, r);
-    r = randRound<2>(tb, v0, v1, r);
-    r = randRound<3>(tb, v0, v1, r);
-    r = randRound<4>(tb, v0, v1, r);
-    r = randRound<5>(tb, v0, v1, r);
-    r = randRound<6>(tb, v0, v1, r);
-    r = randRound<7>(tb, v0, v1, r);
-    return r;
-}
-
-/** byteFlip (bswap64) on each lane. */
-inline __m128i
-byteFlip2(__m128i v)
-{
-    const __m128i m = _mm_setr_epi8(7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13,
-                                    12, 11, 10, 9, 8);
-    return _mm_shuffle_epi8(v, m);
-}
-
-/** The unfolded signature for two tuples. */
-inline __m128i
-signature2(const uint64_t *tables, const Tuple &t0, const Tuple &t1)
-{
-    const __m128i npc =
-        byteFlip2(randomize2(tables, t0.first, t1.first));
-    const __m128i nv = randomize2(tables + 256, t0.second, t1.second);
-    return _mm_xor_si128(npc, nv);
-}
-
-/** One compile-time xorFoldHot round at shift S, recursing by Bits. */
-template <unsigned Bits, unsigned S>
-inline __m128i
-fold2Step(__m128i sig, __m128i mask, __m128i r)
-{
-    r = _mm_xor_si128(
-        r, _mm_and_si128(_mm_srli_epi64(sig, static_cast<int>(S)),
-                         mask));
-    if constexpr (S + Bits < 64)
-        return fold2Step<Bits, S + Bits>(sig, mask, r);
-    else
-        return r;
-}
-
-/** xorFoldHot with the fold width fixed at compile time: the rounds
- *  fully unroll with immediate shift counts. */
-template <unsigned Bits>
-inline __m128i
-fold2Fixed(__m128i sig)
-{
-    const __m128i mask =
-        _mm_set1_epi64x(static_cast<long long>((1ULL << Bits) - 1));
-    return fold2Step<Bits, 0>(sig, mask, _mm_setzero_si128());
-}
-
-/** xorFoldHot on two lanes. The common table widths dispatch to the
- *  unrolled fixed-width forms; the generic loop covers the rest. */
-inline __m128i
-fold2(__m128i sig, unsigned bits)
-{
-    switch (bits) {
-      case 8: return fold2Fixed<8>(sig);
-      case 9: return fold2Fixed<9>(sig);
-      case 10: return fold2Fixed<10>(sig);
-      case 11: return fold2Fixed<11>(sig);
-      case 12: return fold2Fixed<12>(sig);
-      case 13: return fold2Fixed<13>(sig);
-      default: break;
-    }
-    const __m128i mask =
-        _mm_set1_epi64x(static_cast<long long>((1ULL << bits) - 1));
-    __m128i r = _mm_setzero_si128();
-    for (unsigned s = 0; s < 64; s += bits) {
-        const __m128i count = _mm_cvtsi32_si128(static_cast<int>(s));
-        r = _mm_xor_si128(r,
-                          _mm_and_si128(_mm_srl_epi64(sig, count), mask));
-    }
-    return r;
-}
-
-void
-hashBlockSse42(const uint64_t *tables, unsigned bits,
-               const Tuple *block, size_t m, uint32_t *out)
-{
-    size_t j = 0;
-    for (; j + 2 <= m; j += 2) {
-        const __m128i idx =
-            fold2(signature2(tables, block[j], block[j + 1]), bits);
-        out[j] = static_cast<uint32_t>(_mm_extract_epi64(idx, 0));
-        out[j + 1] = static_cast<uint32_t>(_mm_extract_epi64(idx, 1));
-    }
-    for (; j < m; ++j)
-        out[j] = static_cast<uint32_t>(
-            kernel_ref::index(tables, bits, block[j]));
-}
-
-/**
- * The per-byte table offsets of two lanes, extracted once so the
- * multi-table pass reuses them across hashers.
- */
-struct ByteIndexes2
-{
-    uint8_t b0[8];
-    uint8_t b1[8];
-};
-
-inline ByteIndexes2
-byteIndexes2(uint64_t v0, uint64_t v1)
-{
-    ByteIndexes2 out;
-    for (int i = 0; i < 8; ++i) {
-        out.b0[i] = static_cast<uint8_t>(v0 >> (8 * i));
-        out.b1[i] = static_cast<uint8_t>(v1 >> (8 * i));
-    }
-    return out;
-}
-
-/** One kernel_ref::randomize round from precomputed byte offsets. */
-template <int I>
-inline __m128i
-randRoundPre(const uint64_t *tb, const ByteIndexes2 &b, __m128i r)
-{
-    const __m128i word =
-        _mm_set_epi64x(static_cast<long long>(tb[b.b1[I]]),
-                       static_cast<long long>(tb[b.b0[I]]));
-    return _mm_xor_si128(r, rotl2<8 * I>(word));
-}
-
-/** kernel_ref::randomize on two lanes of precomputed bytes. */
-inline __m128i
-randomize2Pre(const uint64_t *tb, const ByteIndexes2 &b)
-{
-    __m128i r = _mm_set_epi64x(static_cast<long long>(tb[b.b1[0]]),
-                               static_cast<long long>(tb[b.b0[0]]));
-    r = randRoundPre<1>(tb, b, r);
-    r = randRoundPre<2>(tb, b, r);
-    r = randRoundPre<3>(tb, b, r);
-    r = randRoundPre<4>(tb, b, r);
-    r = randRoundPre<5>(tb, b, r);
-    r = randRoundPre<6>(tb, b, r);
-    r = randRoundPre<7>(tb, b, r);
-    return r;
-}
-
-void
-hashBlockMultiSse42(const uint64_t *tables, unsigned numTables,
-                    unsigned bits, const Tuple *block, size_t m,
-                    uint32_t *out, uint32_t addendStride)
-{
-    size_t j = 0;
-    for (; j + 2 <= m; j += 2) {
-        const Tuple &t0 = block[j];
-        const Tuple &t1 = block[j + 1];
-        const ByteIndexes2 pcBytes = byteIndexes2(t0.first, t1.first);
-        const ByteIndexes2 valBytes =
-            byteIndexes2(t0.second, t1.second);
-        for (unsigned i = 0; i < numTables; ++i) {
-            const uint64_t *tb = tables + i * kernel_ref::kTableWords;
-            const __m128i npc =
-                byteFlip2(randomize2Pre(tb, pcBytes));
-            const __m128i nv = randomize2Pre(tb + 256, valBytes);
-            const __m128i add = _mm_set1_epi64x(
-                static_cast<long long>(i * addendStride));
-            const __m128i idx = _mm_add_epi64(
-                fold2(_mm_xor_si128(npc, nv), bits), add);
-            out[j * numTables + i] =
-                static_cast<uint32_t>(_mm_extract_epi64(idx, 0));
-            out[(j + 1) * numTables + i] =
-                static_cast<uint32_t>(_mm_extract_epi64(idx, 1));
-        }
-    }
-    for (; j < m; ++j)
-        kernel_ref::indexMulti(tables, numTables, bits, block[j],
-                               addendStride, out + j * numTables);
-}
-
-void
-signatureBlockSse42(const uint64_t *tables, const Tuple *block,
-                    size_t m, uint64_t *out)
-{
-    size_t j = 0;
-    for (; j + 2 <= m; j += 2) {
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(out + j),
-                         signature2(tables, block[j], block[j + 1]));
-    }
-    for (; j < m; ++j)
-        out[j] = kernel_ref::signature(tables, block[j]);
-}
 
 /** Multiply each 64-bit lane by a 64-bit constant (low-64 result). */
 inline __m128i
@@ -538,12 +324,7 @@ ingestKernelsSse42()
 {
     static const IngestKernels table = {
         IsaTier::Sse42,
-        hashBlockSse42,
-        hashBlockMultiSse42,
-        signatureBlockSse42,
         tupleHashBlockSse42,
-        bumpMinSse42,
-        bumpMinConservativeSse42,
         accumProbeBlockSse42,
         bumpMinBlockSse42,
         bumpMinConservativeBlockSse42,

@@ -45,9 +45,10 @@ MultiHashProfiler::ingestBatch(const Tuple *events, size_t count)
 {
     // The profiler's one ingest path (onEvent() is a one-event
     // block), with the config branches resolved at compile time, the
-    // hash pipeline and counter updates vectorized (the active ISA
-    // tier's ingest kernels), and the counter bank accessed through
-    // one base pointer. Per event, the state machine is: shield check
+    // hash indexes read out of the family's contribution table, the
+    // probe and counter updates vectorized (the active ISA tier's
+    // ingest kernels), and the counter bank accessed through one base
+    // pointer. Per event, the state machine is: shield check
     // in the accumulator; on a miss, bump the tuple's n saturating
     // counters (under C1 only those at the current minimum, ties all
     // advancing) and promote it once the minimum reaches the
@@ -58,6 +59,7 @@ MultiHashProfiler::ingestBatch(const Tuple *events, size_t count)
     // hoisting them is invisible), then the event state machine
     // replays in stream order.
     const IngestKernels &kern = *kernels;
+    const ContributionTable &packed = hashers.contributions();
     const unsigned n = static_cast<unsigned>(tables.size());
     uint64_t *const bank = counterBank.data();
     uint32_t *const blk = blockIndexScratch.data();
@@ -65,7 +67,7 @@ MultiHashProfiler::ingestBatch(const Tuple *events, size_t count)
     uint32_t *const absent = blockAbsentScratch.data();
     uint32_t *const hits = blockHitScratch.data();
     uint64_t *const th = blockTupleHashScratch.data();
-    const unsigned bits = hashers.function(0).indexBits();
+    const unsigned bits = hashers.indexBits();
     const uint32_t entries =
         static_cast<uint32_t>(config.entriesPerTable());
     const uint64_t saturation = tables[0].maxValue();
@@ -94,26 +96,23 @@ MultiHashProfiler::ingestBatch(const Tuple *events, size_t count)
         const size_t numHits = m - numAbsent;
 
         // Phase 2: hash indexes. Pure per-tuple computation with no
-        // profiler state, run as one fused kernel pass over all n
-        // tables (the tuple lanes and byte decomposition are shared
-        // across hashers); the i*entries addend stride pre-offsets
-        // each index into the counter bank's structure-of-arrays
-        // layout. Under shielding, accumulator-resident events never
-        // touch the hash tables, so only absent events are hashed —
-        // the probe kernel already emitted them densely compacted, so
-        // the kernel's loads and stores are sequential instead of
-        // gathered through the position list, and blk row j belongs to
-        // absent event absent[j] (events whose probe goes stale
-        // through an eviction are repaired in phase 3). The ablation
-        // pressures the tables with every event, so everything is
-        // hashed and blk stays event-indexed.
-        if (Shielding) {
-            kern.hashBlockMulti(hashers.tableWords(), n, bits, dense,
-                                numAbsent, blk, entries);
-        } else {
-            kern.hashBlockMulti(hashers.tableWords(), n, bits, block, m,
-                                blk, entries);
-        }
+        // profiler state: one pass over the contribution table yields
+        // all n indexes of a tuple (16 loads of packed, pre-folded
+        // fields); the i*entries addend stride pre-offsets each index
+        // into the counter bank's structure-of-arrays layout. Under
+        // shielding, accumulator-resident events never touch the hash
+        // tables, so only absent events are hashed — the probe kernel
+        // already emitted them densely compacted, so the kernel's
+        // loads and stores are sequential instead of gathered through
+        // the position list, and blk row j belongs to absent event
+        // absent[j] (events whose probe goes stale through an eviction
+        // are repaired in phase 3). The ablation pressures the tables
+        // with every event, so everything is hashed and blk stays
+        // event-indexed.
+        if (Shielding)
+            packed.indexBlock(dense, numAbsent, blk, entries);
+        else
+            packed.indexBlock(block, m, blk, entries);
 
         // Phase 3: the event state machine. Promotions change which
         // later events the accumulator shields, so crossings are
@@ -192,9 +191,10 @@ MultiHashProfiler::ingestBatch(const Tuple *events, size_t count)
                     }
                     const uint64_t newMin =
                         Conservative
-                            ? kern.bumpMinConservative(bank, kidx, n,
-                                                       saturation)
-                            : kern.bumpMin(bank, kidx, n, saturation);
+                            ? kernel_ref::bumpMinConservative(
+                                  bank, kidx, n, saturation)
+                            : kernel_ref::bumpMin(bank, kidx, n,
+                                                  saturation);
                     if (newMin >= threshold) {
                         if (accumulator.insert(tk, newMin) && Reset) {
                             for (unsigned i = 0; i < n; ++i)
@@ -210,7 +210,8 @@ MultiHashProfiler::ingestBatch(const Tuple *events, size_t count)
         // Ablation (!Shielding): hits also pressure the hash tables,
         // and the conservative update reads the minima hits produce,
         // so hit and absent bank updates cannot be reordered — the
-        // state machine replays strictly event by event.
+        // state machine replays strictly event by event, through the
+        // reference bump bodies.
         bool reprobe = false;
         for (size_t k = 0; k < m; ++k) {
             const Tuple &t = block[k];
@@ -220,14 +221,15 @@ MultiHashProfiler::ingestBatch(const Tuple *events, size_t count)
             if (s != AccumulatorTable::kNoSlot) {
                 accumulator.incrementSlotHot(s);
                 // Keep pressuring the hash tables.
-                kern.bumpMin(bank, idx, n, saturation);
+                kernel_ref::bumpMin(bank, idx, n, saturation);
                 continue;
             }
 
             const uint64_t newMin =
                 Conservative
-                    ? kern.bumpMinConservative(bank, idx, n, saturation)
-                    : kern.bumpMin(bank, idx, n, saturation);
+                    ? kernel_ref::bumpMinConservative(bank, idx, n,
+                                                      saturation)
+                    : kernel_ref::bumpMin(bank, idx, n, saturation);
 
             // Promotion requires every table's counter at threshold.
             if (newMin >= threshold) {

@@ -32,8 +32,9 @@ SingleHashProfiler::ingestBatch(const Tuple *events, size_t count)
 {
     // The profiler's one ingest path (onEvent() is a one-event
     // block), with the config branches resolved at compile time, the
-    // hash pipeline vectorized (the active ISA tier's ingest kernels),
-    // and the counter array accessed directly. Per event, the state
+    // hash indexes read out of the hasher's contribution table, the
+    // probe vectorized (the active ISA tier's ingest kernels), and the
+    // counter array accessed directly. Per event, the state
     // machine is: shield check in the accumulator; on a miss, bump
     // the tuple's saturating counter and promote it once the counter
     // reaches the threshold (zeroing the counter under R1). Without
@@ -48,8 +49,7 @@ SingleHashProfiler::ingestBatch(const Tuple *events, size_t count)
     uint32_t *const slot = blockSlotScratch.data();
     uint32_t *const absent = blockAbsentScratch.data();
     uint64_t *const th = blockTupleHashScratch.data();
-    const uint64_t *const tables = hasher.tableWords();
-    const unsigned bits = hasher.indexBits();
+    const ContributionTable &packed = hasher.contributions();
     const uint64_t saturation = table.maxValue();
     const uint64_t threshold = thresholdCount;
 
@@ -76,17 +76,17 @@ SingleHashProfiler::ingestBatch(const Tuple *events, size_t count)
             accumulator.probeView(), block, th, m, slot, absent, dense,
             blockHitScratch.data());
 
-        // Phase 2: hash indexes — pure per-tuple computation, run as
-        // one vectorized kernel pass. Under shielding, only events
+        // Phase 2: hash indexes — pure per-tuple computation, one
+        // contribution-table pass per block. Under shielding, only events
         // absent from the accumulator need indexes — the probe kernel
         // already emitted them densely compacted, so the hash kernel's
         // loads and stores are sequential and blk[j] belongs to absent
         // event absent[j]; the ablation hashes everything and blk
         // stays event-indexed.
         if (Shielding)
-            kern.hashBlock(tables, bits, dense, numAbsent, blk);
+            packed.indexBlock(dense, numAbsent, blk, 0);
         else
-            kern.hashBlock(tables, bits, block, m, blk);
+            packed.indexBlock(block, m, blk, 0);
 
         // Phase 3: the event state machine, strictly in stream order
         // (promotions change which later events are shielded). jj

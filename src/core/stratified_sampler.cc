@@ -10,7 +10,7 @@ namespace mhp {
 StratifiedSampler::StratifiedSampler(
         const StratifiedSamplerConfig &config_, uint64_t thresholdCount_)
     : config(config_), thresholdCount(thresholdCount_),
-      hasher(config_.seed, config_.entries), kernels(&ingestKernels())
+      hasher(config_.seed, config_.entries)
 {
     blockIndexScratch.resize(kIngestBlock);
     blockSigScratch.resize(kIngestBlock);
@@ -19,8 +19,10 @@ StratifiedSampler::StratifiedSampler(
                 "sampling threshold must be positive");
     MHP_REQUIRE(config.bufferEntries >= 1, "buffer needs capacity");
     MHP_REQUIRE(thresholdCount >= 1, "candidate threshold positive");
-    if (config.tagged)
+    if (config.tagged) {
         taggedEntries.resize(config.entries);
+        signatures = ContributionTable(hasher.tableWords(), 1, 64);
+    }
     else
         counters.assign(config.entries, 0);
     aggregator.reserve(config.aggregatorEntries);
@@ -32,10 +34,9 @@ StratifiedSampler::onEvents(const Tuple *events, size_t count)
 {
     // The sampler's one ingest path (onEvent() is a one-event block):
     // the variant branch is hoisted out of the loop and the hash
-    // pipeline runs as one vectorized kernel pass per block (the
-    // active ISA tier's ingest kernels). The report() path stays a
-    // call — it fires once per samplingThreshold events at most.
-    const IngestKernels &kern = *kernels;
+    // indexes come from one contribution-table pass per block. The
+    // report() path stays a call — it fires once per
+    // samplingThreshold events at most.
     uint32_t *const blk = blockIndexScratch.data();
     const uint64_t sampleAt = config.samplingThreshold;
 
@@ -44,8 +45,7 @@ StratifiedSampler::onEvents(const Tuple *events, size_t count)
         for (size_t base = 0; base < count; base += kIngestBlock) {
             const size_t m = std::min(kIngestBlock, count - base);
             const Tuple *const block = events + base;
-            kern.hashBlock(hasher.tableWords(), hasher.indexBits(),
-                           block, m, blk);
+            hasher.contributions().indexBlock(block, m, blk, 0);
             for (size_t e = 0; e < m; ++e) {
                 const Tuple &t = block[e];
                 ++eventClock;
@@ -60,8 +60,9 @@ StratifiedSampler::onEvents(const Tuple *events, size_t count)
     }
 
     // Tagged variant: both the index (xor-fold) and the partial tag
-    // derive from the unfolded signature, so one signatureBlock pass
-    // replaces two scalar randomize pipelines per event. Tags are
+    // derive from the unfolded signature, so one pass over the
+    // unfolded contribution table replaces two randomize pipelines
+    // per event. Tags are
     // taken from the signature's high bits so they are mostly
     // independent of the index bits.
     TaggedEntry *const entries = taggedEntries.data();
@@ -70,7 +71,7 @@ StratifiedSampler::onEvents(const Tuple *events, size_t count)
     for (size_t base = 0; base < count; base += kIngestBlock) {
         const size_t m = std::min(kIngestBlock, count - base);
         const Tuple *const block = events + base;
-        kern.signatureBlock(hasher.tableWords(), block, m, sig);
+        signatures.signatureBlock(block, m, sig);
         for (size_t e = 0; e < m; ++e) {
             const Tuple &t = block[e];
             ++eventClock;

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "core/hash_function.h"
-#include "core/ingest_kernels.h"
 #include "core/profiler.h"
 #include "trace/tuple.h"
 
@@ -131,8 +130,8 @@ class StratifiedSampler : public HardwareProfiler
     StratifiedSamplerConfig config;
     uint64_t thresholdCount;
     TupleHasher hasher;
-    /** The active ISA tier's kernels, resolved at construction. */
-    const IngestKernels *kernels;
+    /** The hasher's unfolded contributions (tagged variant only). */
+    ContributionTable signatures;
     /** kIngestBlock precomputed indexes (untagged). */
     std::vector<uint32_t> blockIndexScratch;
     /** kIngestBlock precomputed signatures (tagged). */

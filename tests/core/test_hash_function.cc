@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/hash_function.h"
+#include "core/ingest_kernels_ref.h"
 #include "support/rng.h"
 
 namespace mhp {
@@ -147,8 +148,8 @@ TEST(TupleHasherFamily, MembersAreIndependent)
 
 TEST(TupleHasher, IndexHotMatchesIndex)
 {
-    // The inlined batched-path pipeline must agree with the reference
-    // out-of-line index() for every tuple.
+    // The header-inline pipeline (the profilers' one-tuple repair
+    // path) must agree with the out-of-line index() for every tuple.
     TupleHasher h(9, 2048);
     Rng rng(11);
     for (int i = 0; i < 10000; ++i) {
@@ -175,6 +176,211 @@ TEST(TupleHasherDeathTest, RejectsNonPowerOfTwo)
     EXPECT_EXIT(TupleHasher(1, 1000), ::testing::ExitedWithCode(1),
                 "power of two");
     EXPECT_EXIT(TupleHasher(1, 1), ::testing::ExitedWithCode(1), "");
+}
+
+/** (members, entries per member) of a hasher family under test. */
+struct FamilyShape
+{
+    unsigned members;
+    uint64_t entries;
+};
+
+/**
+ * Every (n, index width) a paper config or ablation builds — BSH and
+ * mh2/mh4/mh8/mh16 at 2048 total entries, the 256-entry ablation
+ * hasher — plus widths that make the packing edge cases: one-bit
+ * fields (64 per word), fields that do not divide 64, two or more
+ * words per entry, and indexes wider than the 32-bit output.
+ */
+const FamilyShape kShapes[] = {
+    {1, 2048}, {2, 1024}, {4, 512}, {8, 256}, {16, 128}, {1, 256},
+    {64, 2},   {3, 8},    {5, 1u << 13}, {4, 1u << 20}, {8, 1u << 20},
+    {16, 1u << 16}, {2, 1ULL << 40},
+};
+
+/** kernel_ref::indexMulti of every tuple, row-major like indexBlock. */
+std::vector<uint32_t>
+referenceIndexes(const TupleHasherFamily &fam, const std::vector<Tuple> &ts,
+                 uint32_t addendStride)
+{
+    const unsigned n = fam.size();
+    std::vector<uint32_t> out(ts.size() * n);
+    for (size_t j = 0; j < ts.size(); ++j) {
+        kernel_ref::indexMulti(fam.tableWords(), n, fam.indexBits(), ts[j],
+                               addendStride, out.data() + j * n);
+    }
+    return out;
+}
+
+/**
+ * One tuple per (key-byte position, byte value) on top of `base`: byte
+ * p of the 16-byte key (pc bytes 0-7, value bytes 8-15) set to v.
+ */
+std::vector<Tuple>
+everyBytePosition(const Tuple &base)
+{
+    std::vector<Tuple> out;
+    for (unsigned p = 0; p < ContributionTable::kPositions; ++p) {
+        for (uint64_t v = 0; v < 256; ++v) {
+            Tuple t = base;
+            uint64_t &word = p < 8 ? t.first : t.second;
+            const unsigned shift = 8 * (p % 8);
+            word = (word & ~(uint64_t{0xff} << shift)) | (v << shift);
+            out.push_back(t);
+        }
+    }
+    return out;
+}
+
+/** Random tuples plus structured ones: zeros, ones, sequential pcs. */
+std::vector<Tuple>
+randomAndStructured(size_t n, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<Tuple> out = {{0, 0}, {~0ULL, ~0ULL}, {~0ULL, 0},
+                              {0, ~0ULL}};
+    for (uint64_t i = 0; i < 64; ++i)
+        out.push_back({0x400000 + 4 * i, i % 7});
+    for (uint64_t i = 0; i < 64; ++i)
+        out.push_back({0x120000000ULL, uint64_t{1} << i});
+    while (out.size() < n)
+        out.push_back({rng.next(), rng.next()});
+    return out;
+}
+
+TEST(ContributionTable, LayoutPacksMembersIntoFields)
+{
+    // mh4 and mh8 at 2048 entries fit one word per entry; mh16's
+    // 7-bit fields take two; each word is 16 x 256 x 8 bytes.
+    const TupleHasherFamily mh4(1, 4, 512), mh8(1, 8, 256),
+        mh16(1, 16, 128), wide(1, 8, uint64_t{1} << 20);
+    EXPECT_EQ(mh4.contributions().fieldsPerWord(), 7u);
+    EXPECT_EQ(mh4.contributions().wordsPerEntry(), 1u);
+    EXPECT_EQ(mh8.contributions().fieldsPerWord(), 8u);
+    EXPECT_EQ(mh8.contributions().wordsPerEntry(), 1u);
+    EXPECT_EQ(mh16.contributions().fieldsPerWord(), 9u);
+    EXPECT_EQ(mh16.contributions().wordsPerEntry(), 2u);
+    EXPECT_EQ(wide.contributions().fieldsPerWord(), 3u);
+    EXPECT_EQ(wide.contributions().wordsPerEntry(), 3u);
+    EXPECT_EQ(mh16.contributions().members(), 16u);
+    EXPECT_EQ(mh16.contributions().fieldBits(), 7u);
+
+    // A single hasher owns a one-member table; the family's views own
+    // none (the family's table hashes them).
+    const TupleHasher bsh(1, 2048);
+    EXPECT_EQ(bsh.contributions().members(), 1u);
+    EXPECT_EQ(bsh.contributions().fieldBits(), 11u);
+    EXPECT_EQ(mh4.function(0).contributions().members(), 0u);
+}
+
+TEST(ContributionTable, EveryBytePositionMatchesReference)
+{
+    // Each (position, value) entry is exercised on a zero base and on
+    // a random one, for every shape: a wrong rotate, flip position or
+    // field shift in any one entry shows up here.
+    Rng rng(0xb17e);
+    for (const FamilyShape &shape : kShapes) {
+        const TupleHasherFamily fam(shape.members * 97 + 3, shape.members,
+                                    shape.entries);
+        const uint32_t stride = static_cast<uint32_t>(shape.entries);
+        for (const Tuple &base : {Tuple{0, 0}, Tuple{rng.next(), rng.next()}}) {
+            const std::vector<Tuple> ts = everyBytePosition(base);
+            std::vector<uint32_t> got(ts.size() * shape.members);
+            fam.contributions().indexBlock(ts.data(), ts.size(), got.data(),
+                                           stride);
+            const std::vector<uint32_t> want =
+                referenceIndexes(fam, ts, stride);
+            for (size_t k = 0; k < got.size(); ++k) {
+                const size_t j = k / shape.members;
+                ASSERT_EQ(got[k], want[k])
+                    << "n=" << shape.members << " entries=" << shape.entries
+                    << " position=" << j / 256 << " byte=" << j % 256
+                    << " member=" << k % shape.members;
+            }
+        }
+    }
+}
+
+TEST(ContributionTable, RandomAndStructuredTuplesMatchReference)
+{
+    for (const FamilyShape &shape : kShapes) {
+        const TupleHasherFamily fam(shape.entries + shape.members,
+                                    shape.members, shape.entries);
+        const unsigned n = shape.members;
+        const std::vector<Tuple> ts = randomAndStructured(
+            1000, shape.members * 7 + shape.entries);
+        const std::vector<uint32_t> want = referenceIndexes(fam, ts, 512);
+        // Ragged block lengths, each followed by an untouched sentinel.
+        for (const size_t m : {size_t{0}, size_t{1}, size_t{3},
+                               size_t{255}, size_t{256}, ts.size()}) {
+            std::vector<uint32_t> got(m * n + 1, 0xdeadbeef);
+            fam.contributions().indexBlock(ts.data(), m, got.data(), 512);
+            for (size_t k = 0; k < m * n; ++k) {
+                ASSERT_EQ(got[k], want[k])
+                    << "n=" << n << " entries=" << shape.entries
+                    << " m=" << m << " tuple=" << k / n;
+            }
+            EXPECT_EQ(got[m * n], 0xdeadbeefu) << "overrun, m=" << m;
+        }
+        // The family's views still index through the reference path.
+        for (size_t j = 0; j < 50; ++j) {
+            for (unsigned i = 0; i < n; ++i) {
+                EXPECT_EQ(static_cast<uint32_t>(fam.function(i).index(ts[j])) +
+                              i * 512,
+                          want[j * n + i]);
+            }
+        }
+    }
+}
+
+TEST(ContributionTable, SingleHasherMatchesIndex)
+{
+    for (const uint64_t size : {uint64_t{2}, uint64_t{256}, uint64_t{2048},
+                                uint64_t{1} << 13, uint64_t{1} << 20}) {
+        const TupleHasher h(size * 13 + 1, size);
+        std::vector<Tuple> ts = everyBytePosition({0x400123, 0x55});
+        const std::vector<Tuple> more = randomAndStructured(500, size);
+        ts.insert(ts.end(), more.begin(), more.end());
+        std::vector<uint32_t> got(ts.size());
+        h.contributions().indexBlock(ts.data(), ts.size(), got.data(), 0);
+        for (size_t j = 0; j < ts.size(); ++j) {
+            ASSERT_EQ(got[j], static_cast<uint32_t>(h.index(ts[j])))
+                << "size=" << size << " j=" << j;
+        }
+    }
+}
+
+TEST(ContributionTable, UnfoldedSignaturesMatchReference)
+{
+    // The stratified sampler's table: fieldBits 64, no fold.
+    const TupleHasher h(0xfeed, 4096);
+    const ContributionTable sig(h.tableWords(), 1, 64);
+    EXPECT_EQ(sig.fieldsPerWord(), 1u);
+    EXPECT_EQ(sig.wordsPerEntry(), 1u);
+    std::vector<Tuple> ts = everyBytePosition({0, 0});
+    const std::vector<Tuple> based = everyBytePosition({~0ULL, 0x1234});
+    const std::vector<Tuple> more = randomAndStructured(1000, 5);
+    ts.insert(ts.end(), based.begin(), based.end());
+    ts.insert(ts.end(), more.begin(), more.end());
+    std::vector<uint64_t> got(ts.size() + 1, 0x5a5a);
+    sig.signatureBlock(ts.data(), ts.size(), got.data());
+    for (size_t j = 0; j < ts.size(); ++j) {
+        ASSERT_EQ(got[j], kernel_ref::signature(h.tableWords(), ts[j]))
+            << "j=" << j;
+        ASSERT_EQ(got[j], h.signature(ts[j])) << "j=" << j;
+    }
+    EXPECT_EQ(got[ts.size()], 0x5a5au);
+}
+
+TEST(ContributionTableDeathTest, RefusesInvalidShapes)
+{
+    const TupleHasher h(1, 256);
+    EXPECT_EXIT(ContributionTable(h.tableWords(), 0, 8),
+                ::testing::ExitedWithCode(1), "member");
+    EXPECT_EXIT(ContributionTable(h.tableWords(), 1, 65),
+                ::testing::ExitedWithCode(1), "1 to 64");
+    EXPECT_EXIT(ContributionTable(h.tableWords(), 2, 64),
+                ::testing::ExitedWithCode(1), "one member");
 }
 
 } // namespace

@@ -3,13 +3,17 @@
  * Bit-identity of every compiled-in SIMD ingest kernel tier against
  * the scalar reference (core/ingest_kernels_ref.h) — the contract
  * that makes the ISA tier a pure throughput knob (docs/PERF.md).
+ * (Hash indexes come from the one portable ContributionTable kernel;
+ * its exhaustive exactness tests are in test_hash_function.cc, and the
+ * per-tier hash tests here check it feeding each tier's bump kernels.)
  *
  * Two layers:
  *  - kernel level: each entry point of each available tier is run
  *    against kernel_ref on randomized inputs, including ragged
  *    lengths, structure-of-arrays addends, conservative-update ties,
  *    and saturation edge cases (tiny widths and the >= 2^62 widths
- *    the vector compare tricks must refuse);
+ *    the vector compare tricks must refuse); the per-event bump step
+ *    is driven as a one-event block run;
  *  - profiler level: full interval snapshots must be identical under
  *    every tier pin, for single-hash, multi-hash, and sampler
  *    architectures.
@@ -95,21 +99,61 @@ TEST_P(IngestKernelTiers, TableReportsItsTier)
     EXPECT_EQ(kernels().tier, GetParam());
 }
 
+/**
+ * The hash-then-bump path of a hash profiler under one tier: the
+ * tier's bump-run kernel over indexes from the portable hash kernel
+ * (`got`) must leave the same counter bank as kernel_ref's bump over
+ * kernel_ref-hashed indexes (`want`). The threshold is never reached,
+ * so the whole run of m events is applied.
+ */
+void
+expectHashedBumpRunMatches(const IngestKernels &kern,
+                           const std::vector<uint32_t> &got,
+                           const std::vector<uint32_t> &want, unsigned n,
+                           size_t m, size_t bankWords, bool conservative)
+{
+    const uint64_t saturation = 255;
+    std::vector<uint64_t> bankGot(bankWords, 0), bankWant(bankWords, 0);
+    uint64_t stopMin = 0;
+    const size_t stop =
+        conservative
+            ? kern.bumpMinConservativeBlock(bankGot.data(), got.data(), n, 0,
+                                            m, saturation, ~uint64_t{0},
+                                            &stopMin)
+            : kern.bumpMinBlock(bankGot.data(), got.data(), n, 0, m,
+                                saturation, ~uint64_t{0}, &stopMin);
+    EXPECT_EQ(stop, m);
+    for (size_t j = 0; j < m; ++j) {
+        if (conservative) {
+            kernel_ref::bumpMinConservative(bankWant.data(),
+                                            want.data() + j * n, n,
+                                            saturation);
+        } else {
+            kernel_ref::bumpMin(bankWant.data(), want.data() + j * n, n,
+                                saturation);
+        }
+    }
+    EXPECT_EQ(bankGot, bankWant) << "n=" << n << " m=" << m;
+}
+
+// The four hash tests below keep their per-tier form: the hash kernel
+// is the one portable ContributionTable kernel under every tier, and
+// each tier's bump kernels consume its indexes.
+
 TEST_P(IngestKernelTiers, HashBlockMatchesReference)
 {
     TupleHasher hasher(0x1234, 2048);
     const unsigned bits = hasher.indexBits();
     const uint64_t *const tables = hasher.tableWords();
 
-    // Ragged lengths straddle every vector width's tail handling.
+    // Ragged lengths straddle every unrolled tail.
     for (const size_t m : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
                            size_t{4}, size_t{5}, size_t{7}, size_t{8},
                            size_t{63}, size_t{256}}) {
         const std::vector<Tuple> tuples = randomTuples(m, 99 + m);
         std::vector<uint32_t> got(m + 1, 0xdeadbeef);
         std::vector<uint32_t> want(m + 1, 0xdeadbeef);
-        kernels().hashBlock(tables, bits, tuples.data(), m,
-                            got.data());
+        hasher.contributions().indexBlock(tuples.data(), m, got.data(), 0);
         for (size_t j = 0; j < m; ++j) {
             want[j] = static_cast<uint32_t>(
                 kernel_ref::index(tables, bits, tuples[j]));
@@ -117,6 +161,8 @@ TEST_P(IngestKernelTiers, HashBlockMatchesReference)
             EXPECT_EQ(got[j], hasher.index(tuples[j]));
         }
         EXPECT_EQ(got[m], 0xdeadbeefu); // no overrun
+        expectHashedBumpRunMatches(kernels(), got, want, 1, m,
+                                   hasher.tableSize(), false);
     }
 }
 
@@ -132,59 +178,70 @@ TEST_P(IngestKernelTiers, HashBlockMatchesAcrossFoldWidths)
         const uint64_t *const tables = hasher.tableWords();
         const size_t m = 37;
         const std::vector<Tuple> tuples = randomTuples(m, tableSize);
-        std::vector<uint32_t> got(m);
-        kernels().hashBlock(tables, bits, tuples.data(), m,
-                            got.data());
+        std::vector<uint32_t> got(m), want(m);
+        hasher.contributions().indexBlock(tuples.data(), m, got.data(), 0);
         for (size_t j = 0; j < m; ++j) {
-            EXPECT_EQ(got[j],
-                      static_cast<uint32_t>(
-                          kernel_ref::index(tables, bits, tuples[j])))
+            want[j] = static_cast<uint32_t>(
+                kernel_ref::index(tables, bits, tuples[j]));
+            EXPECT_EQ(got[j], want[j])
                 << "tableSize=" << tableSize << " j=" << j;
         }
+        expectHashedBumpRunMatches(kernels(), got, want, 1, m, tableSize,
+                                   true);
     }
 }
 
 TEST_P(IngestKernelTiers, HashBlockMultiMatchesReference)
 {
-    // The fused multi-table kernel must equal per-member hashBlock
-    // results for every family width, ragged length, and tail.
+    // The family's packed kernel must equal kernel_ref::index per
+    // member, pre-offset into the counter bank, for every family
+    // width, ragged length, and tail.
     for (const unsigned n : {1u, 2u, 3u, 4u, 5u, 8u}) {
         TupleHasherFamily family(0xfeed + n, n, 512);
-        const unsigned bits = family.function(0).indexBits();
+        const unsigned bits = family.indexBits();
         const uint32_t addendStride = 512;
         for (const size_t m :
              {size_t{0}, size_t{1}, size_t{3}, size_t{4}, size_t{5},
               size_t{17}, size_t{256}}) {
             const std::vector<Tuple> tuples = randomTuples(m, m * n + 3);
             std::vector<uint32_t> got(m * n + 1, 0xdeadbeef);
-            kernels().hashBlockMulti(family.tableWords(), n, bits,
-                                     tuples.data(), m, got.data(),
-                                     addendStride);
+            std::vector<uint32_t> want(m * n);
+            family.contributions().indexBlock(tuples.data(), m, got.data(),
+                                              addendStride);
             for (size_t j = 0; j < m; ++j) {
                 for (unsigned i = 0; i < n; ++i) {
-                    const uint32_t want =
+                    want[j * n + i] =
                         static_cast<uint32_t>(kernel_ref::index(
-                            family.memberTables(i), bits, tuples[j])) +
+                            family.function(i).tableWords(), bits,
+                            tuples[j])) +
                         i * addendStride;
-                    EXPECT_EQ(got[j * n + i], want)
+                    EXPECT_EQ(got[j * n + i], want[j * n + i])
                         << "n=" << n << " m=" << m << " j=" << j
                         << " i=" << i;
                 }
             }
             EXPECT_EQ(got[m * n], 0xdeadbeefu); // no overrun
+            for (const bool conservative : {false, true}) {
+                expectHashedBumpRunMatches(kernels(), got, want, n, m,
+                                           size_t{n} * addendStride,
+                                           conservative);
+            }
         }
     }
 }
 
 TEST_P(IngestKernelTiers, SignatureBlockMatchesReference)
 {
+    // The stratified sampler's unfolded table; its signatures feed no
+    // tier kernel, so this checks the one signature kernel itself.
     TupleHasher hasher(0xfeed, 4096);
     const uint64_t *const tables = hasher.tableWords();
+    const ContributionTable sig(tables, 1, 64);
     for (const size_t m : {size_t{0}, size_t{1}, size_t{3}, size_t{5},
                            size_t{64}, size_t{255}}) {
         const std::vector<Tuple> tuples = randomTuples(m, m * 3 + 1);
         std::vector<uint64_t> got(m);
-        kernels().signatureBlock(tables, tuples.data(), m, got.data());
+        sig.signatureBlock(tuples.data(), m, got.data());
         for (size_t j = 0; j < m; ++j) {
             EXPECT_EQ(got[j], kernel_ref::signature(tables, tuples[j]))
                 << "m=" << m << " j=" << j;
@@ -240,6 +297,25 @@ struct BankFixture
     }
 };
 
+/**
+ * The tier's per-event bump step, run as a one-event block: threshold
+ * 0 stops the run at that event and reports its post-update minimum.
+ */
+uint64_t
+bumpOneEvent(const IngestKernels &kern, bool conservative, uint64_t *soa,
+             const uint32_t *idx, unsigned n, uint64_t saturation)
+{
+    uint64_t stopMin = ~uint64_t{0};
+    const size_t j =
+        conservative
+            ? kern.bumpMinConservativeBlock(soa, idx, n, 0, 1,
+                                            saturation, 0, &stopMin)
+            : kern.bumpMinBlock(soa, idx, n, 0, 1, saturation, 0,
+                                &stopMin);
+    EXPECT_EQ(j, 0u);
+    return stopMin;
+}
+
 TEST_P(IngestKernelTiers, BumpMinMatchesReference)
 {
     for (const uint64_t saturation :
@@ -249,8 +325,9 @@ TEST_P(IngestKernelTiers, BumpMinMatchesReference)
             for (uint64_t seed = 0; seed < 8; ++seed) {
                 BankFixture got(n, saturation, seed * 131 + n);
                 BankFixture want = got;
-                const uint64_t g = kernels().bumpMin(
-                    got.bank.data(), got.idx.data(), n, saturation);
+                const uint64_t g =
+                    bumpOneEvent(kernels(), false, got.bank.data(),
+                                 got.idx.data(), n, saturation);
                 const uint64_t w = kernel_ref::bumpMin(
                     want.bank.data(), want.idx.data(), n, saturation);
                 EXPECT_EQ(g, w) << "n=" << n << " sat=" << saturation;
@@ -270,8 +347,9 @@ TEST_P(IngestKernelTiers, BumpMinConservativeMatchesReference)
             for (uint64_t seed = 0; seed < 8; ++seed) {
                 BankFixture got(n, saturation, seed * 977 + n);
                 BankFixture want = got;
-                const uint64_t g = kernels().bumpMinConservative(
-                    got.bank.data(), got.idx.data(), n, saturation);
+                const uint64_t g =
+                    bumpOneEvent(kernels(), true, got.bank.data(),
+                                 got.idx.data(), n, saturation);
                 const uint64_t w = kernel_ref::bumpMinConservative(
                     want.bank.data(), want.idx.data(), n, saturation);
                 EXPECT_EQ(g, w) << "n=" << n << " sat=" << saturation;
@@ -288,8 +366,8 @@ TEST_P(IngestKernelTiers, BumpMinConservativeAdvancesAllTies)
     const unsigned n = 4;
     std::vector<uint64_t> bank(n * 8, 5);
     std::vector<uint32_t> idx = {0, 8, 16, 24};
-    const uint64_t newMin = kernels().bumpMinConservative(
-        bank.data(), idx.data(), n, 255);
+    const uint64_t newMin = bumpOneEvent(kernels(), true, bank.data(),
+                                         idx.data(), n, 255);
     EXPECT_EQ(newMin, 6u);
     for (const uint32_t i : idx)
         EXPECT_EQ(bank[i], 6u);

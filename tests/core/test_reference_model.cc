@@ -586,6 +586,60 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(std::get<4>(info.param));
     });
 
+/**
+ * The stale-probe repair path: a tuple the block probe found in the
+ * accumulator, then evicted by a promotion earlier in the same block,
+ * is re-hashed through kernel_ref::indexMulti, while the block's
+ * other absent events take their indexes from the contribution table.
+ * Both must land on the spec's counters. mh4 and mh16 at 2048 entries
+ * cover one and two contribution words per entry.
+ */
+TEST(StaleProbeRepair, EvictedTupleBumpsTheSpecCounters)
+{
+    for (const unsigned tables : {4u, 16u}) {
+        ProfilerConfig cfg;
+        cfg.intervalLength = 400;
+        cfg.candidateThreshold = 0.05; // threshold count 20
+        cfg.totalHashEntries = 2048;
+        cfg.numHashTables = tables;
+        cfg.accumulatorEntries = 1;
+        cfg.conservativeUpdate = false;
+        cfg.retaining = true;
+        MultiHashProfiler prod(cfg);
+        RefMultiHash ref(cfg);
+
+        // Interval 0 promotes a into the only slot; retaining keeps it
+        // there, replaceable, for interval 1.
+        const Tuple a{0x401000, 7};
+        const Tuple b{0x402000, 9};
+        const std::vector<Tuple> first(30, a);
+        prod.onEvents(first.data(), first.size());
+        for (const Tuple &t : first)
+            ref.onEvent(t);
+        ASSERT_EQ(prod.endInterval(), ref.endInterval());
+
+        // Interval 1, one block: b's 20th event promotes it and evicts
+        // a, so a's later events (hits at probe time) need the repair.
+        std::vector<Tuple> second(20, b);
+        second.insert(second.end(), 10, a);
+        prod.onEvents(second.data(), second.size());
+        for (const Tuple &t : second)
+            ref.onEvent(t);
+        for (unsigned i = 0; i < tables; ++i) {
+            for (const Tuple &t : {a, b}) {
+                EXPECT_EQ(prod.counterValueIn(i, t),
+                          ref.tables[i][ref.family.function(i).index(t)])
+                    << "n=" << tables << " table " << i << " tuple "
+                    << t.first;
+            }
+        }
+        const IntervalSnapshot snap = prod.endInterval();
+        EXPECT_EQ(snap, ref.endInterval()) << "n=" << tables;
+        ASSERT_EQ(snap.size(), 1u);
+        EXPECT_EQ(snap[0].tuple, b);
+    }
+}
+
 /** (tagged, aggregator entries) of the sampler under test. */
 using SamplerParams = std::tuple<bool, uint64_t>;
 
