@@ -243,12 +243,18 @@ TupleHasher::fillTables(uint64_t seed, uint64_t *out)
         out[256 + i] = value.next();
 }
 
-TupleHasher::TupleHasher(uint64_t seed, uint64_t tableSize)
-    : own(kTableWords), size(tableSize), bits(checkedBits(tableSize))
+std::vector<uint64_t>
+TupleHasher::seededTables(uint64_t seed)
 {
-    fillTables(seed, own.data());
-    words = own.data();
-    packed = ContributionTable(words, 1, bits);
+    std::vector<uint64_t> block(kTableWords);
+    fillTables(seed, block.data());
+    return block;
+}
+
+TupleHasher::TupleHasher(uint64_t seed, uint64_t tableSize)
+    : own(seededTables(seed)), words(own.data()), size(tableSize),
+      bits(checkedBits(tableSize)), packed(words, 1, bits)
+{
 }
 
 TupleHasher::TupleHasher(const uint64_t *tables, uint64_t tableSize)

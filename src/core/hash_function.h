@@ -148,6 +148,13 @@ class TupleHasher
      */
     static void fillTables(uint64_t seed, uint64_t *out);
 
+    /**
+     * A fresh block filled by fillTables(seed): the storage an owner
+     * keeps alive under a view hasher when it needs no
+     * ContributionTable of the hasher's own.
+     */
+    static std::vector<uint64_t> seededTables(uint64_t seed);
+
     /** The table index for a tuple, in [0, tableSize). */
     uint64_t index(const Tuple &t) const;
 

@@ -8,17 +8,11 @@ namespace mhp {
 const IngestKernels *
 ingestKernelsFor(IsaTier tier)
 {
-    if (!isaTierSupported(tier))
-        return tier == IsaTier::Scalar ? ingestKernelsScalar() : nullptr;
     switch (tier) {
       case IsaTier::Scalar:
         return ingestKernelsScalar();
-      case IsaTier::Sse42:
-        return ingestKernelsSse42();
-      case IsaTier::Avx2:
-        return ingestKernelsAvx2();
       case IsaTier::Avx512:
-        return ingestKernelsAvx512();
+        return isaTierSupported(tier) ? ingestKernelsAvx512() : nullptr;
     }
     return nullptr;
 }
@@ -26,16 +20,10 @@ ingestKernelsFor(IsaTier tier)
 const IngestKernels &
 ingestKernels()
 {
-    // Walk down from the active tier until a compiled-in table is
-    // found: a supported CPU feature whose kernels were compiled out
-    // (compiler without the ISA flag) degrades gracefully instead of
-    // crashing. Scalar is always present.
-    IsaTier tier = activeIsaTier();
-    for (;;) {
-        if (const IngestKernels *k = ingestKernelsFor(tier))
-            return *k;
-        tier = isaTierFallback(tier);
-    }
+    // A supported CPU whose avx512 kernels were compiled out (compiler
+    // without the flags) runs the scalar tier instead of crashing.
+    const IngestKernels *k = ingestKernelsFor(activeIsaTier());
+    return k != nullptr ? *k : *ingestKernelsScalar();
 }
 
 } // namespace mhp

@@ -2,19 +2,20 @@
  * @file
  * The vectorized batched-ingest kernel registry (docs/PERF.md).
  *
- * One IngestKernels table exists per ISA tier (support/cpu.h); the
- * batched onEvents() paths of the hash profilers resolve a table once
- * at construction and call through it. The table covers the phases
- * that are vector work: the simulator-side TupleHash, the accumulator
- * probe, and the counter-bank bump runs. Every entry is *bit-identical*
- * to the scalar reference — the tier choice can change throughput,
- * never output. The reference definitions the kernels must match live
- * in ingest_kernels_ref.h and mirror TupleHash and the saturating
- * counter update loops exactly; tests/core/test_ingest_kernels.cc
- * asserts the match per tier, and the ctest MHP_FORCE_ISA matrix
- * re-runs the profiler-level reference-model suites (onEvents at
- * several block sizes against straight-line per-event specs) under
- * each tier.
+ * One IngestKernels table exists per ISA tier (support/cpu.h): scalar,
+ * the build's baseline target, and avx512. The batched onEvents()
+ * paths of the hash profilers resolve a table once at construction
+ * and call through it. The table covers the simulator-side TupleHash,
+ * the accumulator probe (one branch-free source for both tiers,
+ * ingest_kernels_probe.h), and the counter-bank bump runs. Every entry
+ * is *bit-identical* to the reference — the tier choice can change
+ * throughput, never output. The reference definitions the kernels
+ * must match live in ingest_kernels_ref.h and mirror TupleHash and the
+ * saturating counter update loops exactly;
+ * tests/core/test_ingest_kernels.cc asserts the match per tier, and
+ * the ctest MHP_FORCE_ISA matrix re-runs the profiler-level
+ * reference-model suites (onEvents at several block sizes against
+ * straight-line per-event specs) under each tier.
  *
  * Hash indexes are not here: every profiler reads them out of its
  * hasher's ContributionTable (core/hash_function.h), one portable
@@ -182,10 +183,10 @@ struct IngestKernels
 
 /**
  * The kernel table for the process-wide active tier
- * (activeIsaTier()), falling back down the tier order if a stronger
- * tier was compiled out of this binary. Resolved per call so the
- * MHP_FORCE_ISA test pin takes effect; callers on hot paths resolve
- * once and keep the pointer.
+ * (activeIsaTier()), or the scalar table when the avx512 tier was
+ * compiled out of this binary. Resolved per call so the MHP_FORCE_ISA
+ * test pin takes effect; callers on hot paths resolve once and keep
+ * the pointer.
  */
 const IngestKernels &ingestKernels();
 

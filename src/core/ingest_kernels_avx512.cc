@@ -3,12 +3,12 @@
  * AVX-512 ingest kernels: eight 64-bit lanes per instruction.
  *
  * The TupleHash multiply chain runs eight tuples per iteration with
- * the native 64-bit vpmullq. The counter kernels switch to the EVEX
- * mask registers: saturation and the C1 min-select become unsigned
- * compare masks feeding masked adds, and results scatter back with
- * vpscatterqq instead of AVX2's per-lane extracts, so no signed-
- * compare bias (kSignedSafe) is needed at this tier. The tag-group
- * probe compares a 16-lane group with one byte-compare-to-mask. Hash
+ * the native 64-bit vpmullq. The counter kernels use the EVEX mask
+ * registers: saturation and the C1 min-select become unsigned compare
+ * masks feeding masked adds, and results scatter back with
+ * vpscatterqq. The accumulator probe is the shared
+ * ingest_kernels_probe.h template instantiated with a one-instruction
+ * byte-compare-to-mask, compiled here with this TU's flags. Hash
  * indexes come from the portable ContributionTable kernel
  * (core/hash_function.h), not from a tier.
  *
@@ -29,6 +29,7 @@
 
 #include <immintrin.h>
 
+#include "core/ingest_kernels_probe.h"
 #include "core/ingest_kernels_ref.h"
 
 namespace mhp {
@@ -184,118 +185,18 @@ bumpMinConservativeAvx512(uint64_t *soa, const uint32_t *idx, unsigned n,
     return minVal + 1;
 }
 
-/**
- * The rare leg of the probe: the home group either held a tag
- * collision (multiple match candidates) or was full with no hit, so
- * walk the chain generically from the home group.
- */
-__attribute__((noinline)) uint32_t
-accumProbeChainAvx512(const AccumProbeView &view, const Tuple &t,
-                      __m128i tagv, size_t g)
+/** The tag-group compare: one vpcmpeqb-to-mask over 16 lanes. */
+struct GroupMaskAvx512
 {
-    using namespace accum_layout;
-    const __m128i emptyv = _mm_setzero_si128();
-    for (;;) {
-        const size_t base = g * kGroupLanes;
+    unsigned
+    operator()(const uint8_t *group, uint8_t byte) const
+    {
         const __m128i tv = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(view.tags + base));
-        unsigned match = _mm_cmpeq_epi8_mask(tv, tagv);
-        while (match != 0) {
-            const unsigned l =
-                static_cast<unsigned>(__builtin_ctz(match));
-            if (view.keys[base + l] == t)
-                return view.slotOf[base + l];
-            match &= match - 1;
-        }
-        if (_mm_cmpeq_epi8_mask(tv, emptyv) != 0)
-            return UINT32_MAX;
-        g = (g + 1) & view.groupMask;
+            reinterpret_cast<const __m128i *>(group));
+        return _mm_cmpeq_epi8_mask(
+            tv, _mm_set1_epi8(static_cast<char>(byte)));
     }
-}
-
-/**
- * Tag-group probe for a whole block: one vpcmpeqb-to-mask compares a
- * full 16-lane group (the software form of the paper's CAM tag match),
- * the first candidate's key confirms the hit, and a group holding an
- * empty lane ends the chain. The fast path is branch-free — the
- * candidate lane index defaults to the pad lane (AccumProbeView) and
- * the hit/miss distinction is a conditional move, so the 30/70
- * hit/absent mix of a shielded stream costs no mispredictions. Only
- * tag collisions and overfull home groups fall into the chain walker.
- */
-size_t
-accumProbeBlockAvx512(const AccumProbeView &view, const Tuple *block,
-                      const uint64_t *hashes, size_t m, uint32_t *__restrict slots,
-                      uint32_t *__restrict absentPos,
-                      Tuple *__restrict absentTuples, uint32_t *__restrict hitPos)
-{
-    // Hoisted so the unconditional list stores (which GCC must
-    // otherwise assume alias the view arrays and the view struct
-    // itself) cannot force per-event reloads of the index pointers.
-    const uint8_t *const tags = view.tags;
-    const Tuple *const keys = view.keys;
-    const uint32_t *const slotOf = view.slotOf;
-    const uint64_t groupMask = view.groupMask;
-    using namespace accum_layout;
-    if ((groupMask + 1) * kGroupLanes > 8192) {
-        for (size_t k = 0; k < m; ++k) {
-            __builtin_prefetch(tags +
-                                   groupOf(hashes[k], groupMask) *
-                                       kGroupLanes,
-                               0, 1);
-        }
-    }
-    const __m128i emptyv = _mm_setzero_si128();
-    size_t numAbsent = 0;
-    for (size_t k = 0; k < m; ++k) {
-        const uint64_t h = hashes[k];
-        const __m128i tagv =
-            _mm_set1_epi8(static_cast<char>(fullTag(h)));
-        const size_t g = groupOf(h, groupMask);
-        const size_t base = g * kGroupLanes;
-        const __m128i tv = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(tags + base));
-        const unsigned match = _mm_cmpeq_epi8_mask(tv, tagv);
-        const unsigned empty = _mm_cmpeq_epi8_mask(tv, emptyv);
-        const unsigned l = static_cast<unsigned>(
-            __builtin_ctz(match | (1u << kGroupLanes)));
-        // XOR-OR key compare instead of operator== so the comparison
-        // cannot be compiled as short-circuit branches; the whole
-        // hit/miss decision must stay a conditional move.
-        const Tuple &cand = keys[base + l];
-        const uint64_t keyDiff = (cand.first ^ block[k].first) |
-                                 (cand.second ^ block[k].second);
-        const uint32_t hit =
-            static_cast<uint32_t>(match != 0) &
-            static_cast<uint32_t>(keyDiff == 0);
-        // slot | 0 on a hit, slot | ~0 on a miss: the select is pure
-        // arithmetic, so no branch exists for the 30/70 hit/absent mix
-        // to mispredict.
-        uint32_t s = slotOf[base + l] | (hit - 1);
-        // The chain is only needed when the single-candidate answer can
-        // be wrong: a multi-candidate tag collision, or a full group
-        // with no first-candidate hit. Both are rare, so this is the
-        // one branch in the loop and it predicts not-taken. The empty
-        // asm keeps GCC from re-splitting the compound predicate into a
-        // separate (mispredicting) branch on `hit`.
-        unsigned needChain =
-            (static_cast<unsigned>((match & (match - 1)) != 0) |
-             static_cast<unsigned>(empty == 0)) &
-            (hit ^ 1u);
-        asm("" : "+r"(needChain));
-        if (__builtin_expect(needChain != 0, 0))
-            s = accumProbeChainAvx512(view, block[k], tagv, g);
-        slots[k] = s;
-        // Every event lands on exactly one list, so both appends are
-        // unconditional stores (a dead store at the losing list's
-        // cursor is overwritten by the next event of that kind).
-        absentPos[numAbsent] = static_cast<uint32_t>(k);
-        absentTuples[numAbsent] = block[k];
-        hitPos[k - numAbsent] = static_cast<uint32_t>(k);
-        numAbsent += (s == UINT32_MAX) ? 1 : 0;
-    }
-    return numAbsent;
-}
+};
 
 size_t
 bumpMinBlockAvx512(uint64_t *soa, const uint32_t *idx, unsigned n,
@@ -395,7 +296,7 @@ ingestKernelsAvx512()
     static const IngestKernels table = {
         IsaTier::Avx512,
         tupleHashBlockAvx512,
-        accumProbeBlockAvx512,
+        accum_probe::probeBlock<GroupMaskAvx512>,
         bumpMinBlockAvx512,
         bumpMinConservativeBlockAvx512,
     };

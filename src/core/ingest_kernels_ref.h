@@ -1,7 +1,7 @@
 /**
  * @file
- * Scalar reference bodies for the batched-ingest kernels — the single
- * source of truth every SIMD tier must match bit for bit.
+ * Reference bodies for the batched-ingest kernels — the single source
+ * of truth every kernel tier must match bit for bit.
  *
  * The hash helpers restate the paper's pipeline (randomize → byteFlip
  * → xorFoldHot) over a raw 512-word table block: they are the
@@ -9,10 +9,10 @@
  * tested against, and the one-tuple repair paths call them directly.
  * The counter helpers restate the saturating-update loops of the
  * profilers' ingestBatch() state machines; the scalar kernel table
- * uses these directly, the SIMD kernels use them for ragged tails and
- * narrow fallbacks, and the profilers call the per-event bumps on
- * their rare paths (the tail after a mid-block promotion, the
- * !Shielding ablation).
+ * uses TupleHash and the plain bump directly, both tiers use the rest
+ * for ragged tails and wide fallbacks, and the profilers call the
+ * per-event bumps on their rare paths (the tail after a mid-block
+ * promotion, the !Shielding ablation).
  */
 
 #ifndef MHP_CORE_INGEST_KERNELS_REF_H

@@ -1,10 +1,10 @@
 /**
  * @file
- * Internal: per-tier kernel-table factories, one per translation unit
- * so each can be compiled with its own ISA flags (see
- * src/core/CMakeLists.txt). A tier that is compiled out of the binary
- * (not an x86 build, or the compiler flag was unavailable) returns
- * nullptr and the dispatcher falls through to the next tier down.
+ * Internal: the two tiers' kernel-table factories, one per translation
+ * unit so the avx512 one can be compiled with its own ISA flags (see
+ * src/core/CMakeLists.txt). When the avx512 tier is compiled out of
+ * the binary (not an x86 build, or the compiler lacks the flags) its
+ * factory returns nullptr and dispatch uses the scalar tier.
  */
 
 #ifndef MHP_CORE_INGEST_KERNELS_TIERS_H
@@ -15,8 +15,6 @@ namespace mhp {
 struct IngestKernels;
 
 const IngestKernels *ingestKernelsScalar();
-const IngestKernels *ingestKernelsSse42();
-const IngestKernels *ingestKernelsAvx2();
 const IngestKernels *ingestKernelsAvx512();
 
 } // namespace mhp

@@ -10,7 +10,10 @@ namespace mhp {
 StratifiedSampler::StratifiedSampler(
         const StratifiedSamplerConfig &config_, uint64_t thresholdCount_)
     : config(config_), thresholdCount(thresholdCount_),
-      hasher(config_.seed, config_.entries)
+      hashTables(TupleHasher::seededTables(config_.seed)),
+      hasher(hashTables.data(), config_.entries),
+      contributions(hashTables.data(), 1,
+                    config_.tagged ? 64 : hasher.indexBits())
 {
     blockIndexScratch.resize(kIngestBlock);
     blockSigScratch.resize(kIngestBlock);
@@ -19,10 +22,8 @@ StratifiedSampler::StratifiedSampler(
                 "sampling threshold must be positive");
     MHP_REQUIRE(config.bufferEntries >= 1, "buffer needs capacity");
     MHP_REQUIRE(thresholdCount >= 1, "candidate threshold positive");
-    if (config.tagged) {
+    if (config.tagged)
         taggedEntries.resize(config.entries);
-        signatures = ContributionTable(hasher.tableWords(), 1, 64);
-    }
     else
         counters.assign(config.entries, 0);
     aggregator.reserve(config.aggregatorEntries);
@@ -45,7 +46,7 @@ StratifiedSampler::onEvents(const Tuple *events, size_t count)
         for (size_t base = 0; base < count; base += kIngestBlock) {
             const size_t m = std::min(kIngestBlock, count - base);
             const Tuple *const block = events + base;
-            hasher.contributions().indexBlock(block, m, blk, 0);
+            contributions.indexBlock(block, m, blk, 0);
             for (size_t e = 0; e < m; ++e) {
                 const Tuple &t = block[e];
                 ++eventClock;
@@ -71,7 +72,7 @@ StratifiedSampler::onEvents(const Tuple *events, size_t count)
     for (size_t base = 0; base < count; base += kIngestBlock) {
         const size_t m = std::min(kIngestBlock, count - base);
         const Tuple *const block = events + base;
-        signatures.signatureBlock(block, m, sig);
+        contributions.signatureBlock(block, m, sig);
         for (size_t e = 0; e < m; ++e) {
             const Tuple &t = block[e];
             ++eventClock;

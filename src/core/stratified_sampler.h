@@ -129,9 +129,15 @@ class StratifiedSampler : public HardwareProfiler
 
     StratifiedSamplerConfig config;
     uint64_t thresholdCount;
+    /** The hasher's 512-word random-table block. */
+    std::vector<uint64_t> hashTables;
+    /** A view over hashTables: it builds no table of its own. */
     TupleHasher hasher;
-    /** The hasher's unfolded contributions (tagged variant only). */
-    ContributionTable signatures;
+    /**
+     * The one contribution table the variant reads: folded indexes
+     * when untagged, unfolded signatures when tagged.
+     */
+    ContributionTable contributions;
     /** kIngestBlock precomputed indexes (untagged). */
     std::vector<uint32_t> blockIndexScratch;
     /** kIngestBlock precomputed signatures (tagged). */

@@ -9,27 +9,42 @@ namespace mhp {
 
 namespace {
 
-/** Can the running CPU execute the tier's instructions? */
+std::once_flag gForcedOnce;
+std::optional<IsaTier> gForced;
+
+/** Pinned tier from setIsaTierForTesting(); -1 = no pin. */
+std::atomic<int> gTestPin{-1};
+
+} // namespace
+
+const char *
+isaTierName(IsaTier tier)
+{
+    switch (tier) {
+      case IsaTier::Scalar:
+        return "scalar";
+      case IsaTier::Avx512:
+        return "avx512";
+    }
+    return "?";
+}
+
+std::optional<IsaTier>
+parseIsaTier(const std::string &name)
+{
+    for (const IsaTier tier : {IsaTier::Scalar, IsaTier::Avx512}) {
+        if (name == isaTierName(tier))
+            return tier;
+    }
+    return std::nullopt;
+}
+
 bool
-cpuHasTier(IsaTier tier)
+isaTierSupported(IsaTier tier)
 {
     switch (tier) {
       case IsaTier::Scalar:
         return true;
-      case IsaTier::Sse42:
-#if defined(__x86_64__) || defined(__i386__)
-        return __builtin_cpu_supports("sse4.2") != 0;
-#else
-        return false;
-#endif
-      case IsaTier::Avx2:
-#if defined(__x86_64__) || defined(__i386__)
-        // libgcc's resolver checks OSXSAVE/XCR0 for the AVX state, so
-        // this is safe even under hypervisors that mask xsave.
-        return __builtin_cpu_supports("avx2") != 0;
-#else
-        return false;
-#endif
       case IsaTier::Avx512:
 #if defined(__x86_64__) || defined(__i386__)
         // The AVX-512 kernels use F (gather/scatter, rotates),
@@ -48,73 +63,11 @@ cpuHasTier(IsaTier tier)
     return false;
 }
 
-std::once_flag gForcedOnce;
-std::optional<IsaTier> gForced;
-
-/** Pinned tier from setIsaTierForTesting(); -1 = no pin. */
-std::atomic<int> gTestPin{-1};
-
-} // namespace
-
-const char *
-isaTierName(IsaTier tier)
-{
-    switch (tier) {
-      case IsaTier::Scalar:
-        return "scalar";
-      case IsaTier::Sse42:
-        return "sse42";
-      case IsaTier::Avx2:
-        return "avx2";
-      case IsaTier::Avx512:
-        return "avx512";
-    }
-    return "?";
-}
-
-std::optional<IsaTier>
-parseIsaTier(const std::string &name)
-{
-    for (const IsaTier tier :
-         {IsaTier::Scalar, IsaTier::Sse42, IsaTier::Avx2,
-          IsaTier::Avx512}) {
-        if (name == isaTierName(tier))
-            return tier;
-    }
-    return std::nullopt;
-}
-
-IsaTier
-isaTierFallback(IsaTier tier)
-{
-    switch (tier) {
-      case IsaTier::Avx512:
-        return IsaTier::Avx2;
-      case IsaTier::Avx2:
-        return IsaTier::Sse42;
-      case IsaTier::Sse42:
-      case IsaTier::Scalar:
-        return IsaTier::Scalar;
-    }
-    return IsaTier::Scalar;
-}
-
-bool
-isaTierSupported(IsaTier tier)
-{
-    return cpuHasTier(tier);
-}
-
 IsaTier
 bestIsaTier()
 {
-    if (cpuHasTier(IsaTier::Avx512))
-        return IsaTier::Avx512;
-    if (cpuHasTier(IsaTier::Avx2))
-        return IsaTier::Avx2;
-    if (cpuHasTier(IsaTier::Sse42))
-        return IsaTier::Sse42;
-    return IsaTier::Scalar;
+    return isaTierSupported(IsaTier::Avx512) ? IsaTier::Avx512
+                                             : IsaTier::Scalar;
 }
 
 std::optional<IsaTier>
@@ -128,7 +81,7 @@ forcedIsaTier()
         if (!gForced) {
             std::fprintf(stderr,
                          "mhp: MHP_FORCE_ISA=%s not recognized "
-                         "(scalar|sse42|avx2|avx512); ignoring\n",
+                         "(scalar|avx512); ignoring\n",
                          value);
         }
     });

@@ -3,11 +3,12 @@
  * Runtime CPU-feature detection and ISA-tier selection for the SIMD
  * ingest kernels (docs/PERF.md).
  *
- * The library ships one kernel implementation per *ISA tier*; at
- * startup the dispatcher picks the best tier the running CPU supports.
- * MHP_FORCE_ISA overrides the choice downward (forcing a tier the CPU
- * cannot run is clamped, with a one-time stderr note), which is how
- * the equivalence test matrix re-runs every kernel on one machine.
+ * The library ships one kernel implementation per *ISA tier* — scalar
+ * and avx512; at startup the dispatcher picks avx512 when the running
+ * CPU supports it and scalar otherwise. MHP_FORCE_ISA overrides the
+ * choice (forcing a tier the CPU cannot run is clamped, with a
+ * one-time stderr note), which is how the equivalence test matrix
+ * re-runs every kernel on one machine.
  *
  * Every tier is bit-identical by contract: the choice affects
  * throughput only, never a single byte of profiler output.
@@ -22,28 +23,18 @@
 namespace mhp {
 
 /**
- * The kernel dispatch tiers. Scalar is the portable reference (and
- * the only tier of a non-x86 build); Sse42/Avx2/Avx512 are the x86
- * tiers, weakest to strongest. The enumerator values are fixed (value
- * 3 is retired), so ordering comparisons are meaningless — dispatch
- * walks an explicit fall-down chain instead (isaTierFallback()).
+ * The kernel dispatch tiers. Scalar is the build's baseline target;
+ * no runtime feature check (the only tier of a non-x86 build). Avx512
+ * is the one x86 SIMD tier. The enumerator values are fixed; values
+ * 1, 2 and 3 are retired.
  */
 enum class IsaTier : unsigned char
 {
     Scalar = 0,
-    Sse42 = 1,
-    Avx2 = 2,
     Avx512 = 4,
 };
 
-/**
- * The next-weaker tier to try when `tier` is unavailable (compiled
- * out or unsupported): Avx512 -> Avx2 -> Sse42 -> Scalar. Scalar maps
- * to itself.
- */
-IsaTier isaTierFallback(IsaTier tier);
-
-/** The tier's MHP_FORCE_ISA spelling ("scalar", "sse42", ...). */
+/** The tier's MHP_FORCE_ISA spelling ("scalar" or "avx512"). */
 const char *isaTierName(IsaTier tier);
 
 /** Parse an MHP_FORCE_ISA spelling; nullopt if unrecognized. */
@@ -52,7 +43,7 @@ std::optional<IsaTier> parseIsaTier(const std::string &name);
 /**
  * True when the running CPU can execute the tier's instructions *and*
  * this binary was compiled for an architecture that has the tier
- * (x86: all tiers; elsewhere: Scalar only). Scalar is always
+ * (x86: both tiers; elsewhere: Scalar only). Scalar is always
  * supported.
  */
 bool isaTierSupported(IsaTier tier);

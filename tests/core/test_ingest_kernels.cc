@@ -1,8 +1,8 @@
 /**
  * @file
- * Bit-identity of every compiled-in SIMD ingest kernel tier against
- * the scalar reference (core/ingest_kernels_ref.h) — the contract
- * that makes the ISA tier a pure throughput knob (docs/PERF.md).
+ * Bit-identity of every compiled-in ingest kernel tier against the
+ * reference (core/ingest_kernels_ref.h) — the contract that makes the
+ * ISA tier a pure throughput knob (docs/PERF.md).
  * (Hash indexes come from the one portable ContributionTable kernel;
  * its exhaustive exactness tests are in test_hash_function.cc, and the
  * per-tier hash tests here check it feeding each tier's bump kernels.)
@@ -11,9 +11,10 @@
  *  - kernel level: each entry point of each available tier is run
  *    against kernel_ref on randomized inputs, including ragged
  *    lengths, structure-of-arrays addends, conservative-update ties,
- *    and saturation edge cases (tiny widths and the >= 2^62 widths
- *    the vector compare tricks must refuse); the per-event bump step
- *    is driven as a one-event block run;
+ *    and saturation edge cases (tiny widths and widths at and past
+ *    2^63); the per-event bump step is driven as a one-event block
+ *    run; the portable tag-group mask, which only non-x86 builds
+ *    run, is checked against the SSE2 form here;
  *  - profiler level: full interval snapshots must be identical under
  *    every tier pin, for single-hash, multi-hash, and sampler
  *    architectures.
@@ -33,6 +34,7 @@
 #include "core/factory.h"
 #include "core/hash_function.h"
 #include "core/ingest_kernels.h"
+#include "core/ingest_kernels_probe.h"
 #include "core/ingest_kernels_ref.h"
 #include "core/profiler.h"
 #include "core/stratified_sampler.h"
@@ -48,8 +50,7 @@ std::vector<IsaTier>
 availableTiers()
 {
     std::vector<IsaTier> tiers;
-    for (const IsaTier tier : {IsaTier::Scalar, IsaTier::Sse42,
-                               IsaTier::Avx2, IsaTier::Avx512}) {
+    for (const IsaTier tier : {IsaTier::Scalar, IsaTier::Avx512}) {
         if (ingestKernelsFor(tier) != nullptr)
             tiers.push_back(tier);
     }
@@ -343,7 +344,8 @@ TEST_P(IngestKernelTiers, BumpMinConservativeMatchesReference)
     for (const uint64_t saturation :
          {uint64_t{1}, uint64_t{7}, (uint64_t{1} << 24) - 1,
           (uint64_t{1} << 63), ~uint64_t{0}}) {
-        for (unsigned n = 1; n <= 9; ++n) {
+        // Past 16 counters the kernels take the reference fallback.
+        for (unsigned n = 1; n <= 17; ++n) {
             for (uint64_t seed = 0; seed < 8; ++seed) {
                 BankFixture got(n, saturation, seed * 977 + n);
                 BankFixture want = got;
@@ -544,6 +546,115 @@ TEST_P(IngestKernelTiers, AccumProbeBlockSkipsTombstones)
     EXPECT_EQ(numAbsent, 1u);
 }
 
+/**
+ * The portable tag-group mask is the only one a non-x86 build runs,
+ * and CI has no non-x86 leg, so it is checked here: against the SSE2
+ * form the x86-64 scalar tier runs, over random and adversarial
+ * groups, and as the operand of the shared block probe against
+ * kernel_ref.
+ */
+TEST(AccumGroupMask, LoopMatchesSse2)
+{
+    using namespace accum_layout;
+    const accum_probe::GroupMaskLoop loop;
+    const uint8_t tag = fullTag(uint64_t{0x5a} << 57);
+    std::vector<std::vector<uint8_t>> groups = {
+        std::vector<uint8_t>(kGroupLanes, kEmptyTag),
+        std::vector<uint8_t>(kGroupLanes, kTombstoneTag),
+        std::vector<uint8_t>(kGroupLanes, tag),
+    };
+    std::vector<uint8_t> last(kGroupLanes, kTombstoneTag);
+    last[kGroupLanes - 1] = tag;
+    groups.push_back(last);
+
+    // Adversarial groups, with their masks spelled out.
+    EXPECT_EQ(loop(groups[0].data(), kEmptyTag), 0xffffu);
+    EXPECT_EQ(loop(groups[0].data(), tag), 0u);
+    EXPECT_EQ(loop(groups[1].data(), kEmptyTag), 0u);
+    EXPECT_EQ(loop(groups[1].data(), kTombstoneTag), 0xffffu);
+    EXPECT_EQ(loop(groups[2].data(), tag), 0xffffu);
+    EXPECT_EQ(loop(groups[3].data(), tag), 0x8000u);
+    EXPECT_EQ(loop(groups[3].data(), kEmptyTag), 0u);
+
+    Rng rng(0x6a5c);
+    for (int i = 0; i < 500; ++i) {
+        std::vector<uint8_t> g(kGroupLanes);
+        for (auto &b : g) {
+            switch (rng.nextBelow(4)) {
+              case 0:
+                b = kEmptyTag;
+                break;
+              case 1:
+                b = kTombstoneTag;
+                break;
+              case 2:
+                b = tag;
+                break;
+              default:
+                b = static_cast<uint8_t>(rng.next());
+                break;
+            }
+        }
+        groups.push_back(g);
+    }
+    for (const auto &g : groups) {
+        for (const uint8_t byte :
+             {kEmptyTag, kTombstoneTag, tag, uint8_t{0x80}, uint8_t{0xff},
+              g[0], g[kGroupLanes - 1]}) {
+            unsigned want = 0;
+            for (unsigned l = 0; l < kGroupLanes; ++l)
+                want |= (g[l] == byte ? 1u : 0u) << l;
+            EXPECT_EQ(loop(g.data(), byte), want);
+#if defined(__SSE2__)
+            EXPECT_EQ(accum_probe::GroupMaskSse2{}(g.data(), byte), want);
+#endif
+        }
+    }
+
+    // The block probe over the loop mask against kernel_ref, on random
+    // indexes dense with tag collisions, tombstones and full groups.
+    for (uint64_t seed = 0; seed < 40; ++seed) {
+        Rng r(seed);
+        SyntheticIndex ix(4);
+        std::vector<uint64_t> pool(6);
+        for (size_t h = 0; h < pool.size(); ++h)
+            pool[h] = SyntheticIndex::hashFor(r.nextBelow(4),
+                                              r.nextBelow(3));
+        for (size_t lane = 0; lane < ix.tags.size(); ++lane) {
+            const uint64_t kind = r.nextBelow(8);
+            if (kind == 0)
+                ix.tags[lane] = kTombstoneTag;
+            else if (kind > 1)
+                ix.place(lane, pool[r.nextBelow(pool.size())],
+                         {r.nextBelow(8), 0},
+                         static_cast<uint32_t>(lane));
+        }
+        ix.tags[r.nextBelow(ix.tags.size())] = kEmptyTag; // chains end
+        const size_t m = 64;
+        std::vector<Tuple> block(m);
+        std::vector<uint64_t> hashes(m);
+        for (size_t k = 0; k < m; ++k) {
+            block[k] = {r.nextBelow(8), 0};
+            hashes[k] = pool[r.nextBelow(pool.size())];
+        }
+        std::vector<uint32_t> slots(m), absent(m), hits(m);
+        std::vector<uint32_t> wantSlots(m), wantAbsent(m), wantHits(m);
+        std::vector<Tuple> absentTuples(m), wantTuples(m);
+        const size_t got = accum_probe::probeBlock<
+            accum_probe::GroupMaskLoop>(
+            ix.view(), block.data(), hashes.data(), m, slots.data(),
+            absent.data(), absentTuples.data(), hits.data());
+        const size_t want = kernel_ref::accumProbeBlock(
+            ix.view(), block.data(), hashes.data(), m, wantSlots.data(),
+            wantAbsent.data(), wantTuples.data(), wantHits.data());
+        ASSERT_EQ(got, want) << "seed=" << seed;
+        EXPECT_EQ(slots, wantSlots) << "seed=" << seed;
+        absent.resize(got);
+        wantAbsent.resize(got);
+        EXPECT_EQ(absent, wantAbsent) << "seed=" << seed;
+    }
+}
+
 TEST_P(IngestKernelTiers, BumpMinBlockMatchesReference)
 {
     const uint64_t saturation = (uint64_t{1} << 24) - 1;
@@ -705,11 +816,8 @@ TEST(IngestKernelDispatch, ScalarTierAlwaysPresent)
 
 TEST(IngestKernelDispatch, UnsupportedTierResolvesToNull)
 {
-    for (const IsaTier tier :
-         {IsaTier::Sse42, IsaTier::Avx2, IsaTier::Avx512}) {
-        if (!isaTierSupported(tier)) {
-            EXPECT_EQ(ingestKernelsFor(tier), nullptr);
-        }
+    if (!isaTierSupported(IsaTier::Avx512)) {
+        EXPECT_EQ(ingestKernelsFor(IsaTier::Avx512), nullptr);
     }
 }
 

@@ -13,7 +13,7 @@ trap 'rm -rf "$TMP"' EXIT
 
 failed=0
 tiers=0
-for isa in scalar sse42 avx2 avx512; do
+for isa in scalar avx512; do
     # mhprof_run --isa exits 2 for a tier this CPU cannot run.
     if ! "$TOOLS/mhprof_run" --isa=$isa --benchmark=gcc --intervals=0 \
         --out="$TMP/probe.mhp" > /dev/null 2>&1; then

@@ -16,8 +16,7 @@
 namespace mhp {
 namespace {
 
-const IsaTier kAllTiers[] = {IsaTier::Scalar, IsaTier::Sse42,
-                             IsaTier::Avx2, IsaTier::Avx512};
+const IsaTier kAllTiers[] = {IsaTier::Scalar, IsaTier::Avx512};
 
 TEST(Cpu, TierNamesRoundTripThroughParse)
 {
@@ -34,8 +33,11 @@ TEST(Cpu, ParseRejectsUnknownSpellings)
     EXPECT_FALSE(parseIsaTier("avx1024").has_value());
     EXPECT_FALSE(parseIsaTier("SSE42").has_value());
     EXPECT_FALSE(parseIsaTier("scalar ").has_value());
-    // The retired aarch64 tier: such builds run the scalar tier.
+    // Retired tiers: aarch64 builds and x86 CPUs without AVX-512 run
+    // the scalar tier.
     EXPECT_FALSE(parseIsaTier("neon").has_value());
+    EXPECT_FALSE(parseIsaTier("sse42").has_value());
+    EXPECT_FALSE(parseIsaTier("avx2").has_value());
 }
 
 TEST(Cpu, ScalarIsAlwaysSupported)
@@ -50,28 +52,15 @@ TEST(Cpu, BestTierIsSupported)
 
 TEST(Cpu, SupportIsArchitectureConsistent)
 {
-    // Only an x86 build can report a SIMD tier; everything else runs
+    // Only an x86 build can report the SIMD tier; everything else runs
     // the portable scalar tier.
 #if !defined(__x86_64__) && !defined(__i386__)
     EXPECT_EQ(bestIsaTier(), IsaTier::Scalar);
 #endif
-    // AVX2 machines all have SSE4.2; AVX-512 machines all have AVX2.
-    if (isaTierSupported(IsaTier::Avx2)) {
-        EXPECT_TRUE(isaTierSupported(IsaTier::Sse42));
-    }
-    if (isaTierSupported(IsaTier::Avx512)) {
-        EXPECT_TRUE(isaTierSupported(IsaTier::Avx2));
-    }
-}
-
-TEST(Cpu, FallbackChainsReachScalar)
-{
-    // Every tier's fallback chain must terminate at Scalar (dispatch
-    // walks this chain when a tier's kernels were compiled out).
-    EXPECT_EQ(isaTierFallback(IsaTier::Avx512), IsaTier::Avx2);
-    EXPECT_EQ(isaTierFallback(IsaTier::Avx2), IsaTier::Sse42);
-    EXPECT_EQ(isaTierFallback(IsaTier::Sse42), IsaTier::Scalar);
-    EXPECT_EQ(isaTierFallback(IsaTier::Scalar), IsaTier::Scalar);
+    // Dispatch is two-way: avx512 when supported, scalar otherwise.
+    EXPECT_EQ(bestIsaTier(), isaTierSupported(IsaTier::Avx512)
+                                 ? IsaTier::Avx512
+                                 : IsaTier::Scalar);
 }
 
 TEST(Cpu, ActiveTierIsSupported)

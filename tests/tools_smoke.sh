@@ -135,6 +135,21 @@ for bad in --interval-length=-1 --interval-length=4294967296 \
         cat "$TMP/err.out"; exit 1; }
 done
 
+# The retired ISA tiers are unknown spellings: --isa refuses them as a
+# bad flag, and MHP_FORCE_ISA ignores them with a note (scalar and
+# avx512 are the only tiers).
+for isa in sse42 avx2; do
+    expect_exit 1 "$TOOLS/mhprof_run" --benchmark=li --isa=$isa
+    grep -q "not recognized" "$TMP/err.out" || {
+        echo "FAIL: mhprof_run --isa=$isa diagnostic:";
+        cat "$TMP/err.out"; exit 1; }
+done
+MHP_FORCE_ISA=avx2 "$TOOLS/mhprof_run" --benchmark=li --intervals=1 \
+    --interval-length=2000 --out="$TMP/forced.mhp" \
+    > /dev/null 2> "$TMP/err.out"
+grep -q "MHP_FORCE_ISA=avx2 not recognized" "$TMP/err.out" || {
+    echo "FAIL: MHP_FORCE_ISA=avx2 not noted:"; cat "$TMP/err.out"; exit 1; }
+
 # A threshold so small that its accumulator (ceil(1 / threshold)
 # entries, here 10^9) cannot be allocated is refused the same way,
 # before any profiler is built: no bad_alloc abort.

@@ -16,8 +16,6 @@ Two modes:
       bench_check.py speedup BENCH.json \
           --base 'BM_IsaBatchedIngest/mh4/scalar' \
           --test 'BM_IsaBatchedIngest/mh4/avx512' \
-          --test 'BM_IsaBatchedIngest/mh4/avx2' \
-          --test 'BM_IsaBatchedIngest/mh4/sse42' \
           [--min-speedup 2.5] [--allow-invalid]
 
   --test is repeatable: the gate passes when any series that is present

@@ -62,7 +62,7 @@ main(int argc, char **argv)
     cli.addInt("failpoint-seed", 0, "seed for probabilistic failpoints");
     cli.addString("isa", "",
                   "pin the ingest-kernel ISA tier "
-                  "(scalar|sse42|avx2|avx512; default: auto-detect)");
+                  "(scalar|avx512; default: auto-detect)");
     cli.parse(argc, argv);
 
     if (const std::string isa = cli.getString("isa"); !isa.empty()) {
@@ -70,7 +70,7 @@ main(int argc, char **argv)
         if (!tier) {
             std::fprintf(stderr,
                          "mhprof_run: --isa=%s not recognized "
-                         "(scalar|sse42|avx2|avx512)\n",
+                         "(scalar|avx512)\n",
                          isa.c_str());
             return 1;
         }
