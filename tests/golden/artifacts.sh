@@ -27,6 +27,19 @@ for kind in value edge path; do
     done
 done
 
+# The one-table profiler's other option paths: no retaining (P0),
+# resetting without retaining (R1P0), and plain update (C0, which the
+# one-table name sh-RxPy does not show).
+for variant in "p0 --no-retain" "r1p0 --reset --no-retain" \
+    "c0 --no-conservative"; do
+    set -- $variant
+    tag=$1
+    shift
+    "$TOOLS/mhprof_run" --benchmark=gcc --kind=value --tables=1 \
+        --entries=256 --intervals=4 "$@" \
+        --out="$OUT/run_value_t1_${tag}.mhp" > /dev/null
+done
+
 # The span runner: the recorded trace, mapped zero-copy, at the
 # default mh4 config.
 "$TOOLS/mhprof_run" --trace="$OUT/trace_gcc.mht" --intervals=4 \
