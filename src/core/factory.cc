@@ -1,7 +1,6 @@
 #include "core/factory.h"
 
 #include "core/multi_hash_profiler.h"
-#include "core/single_hash_profiler.h"
 
 namespace mhp {
 
@@ -9,8 +8,6 @@ std::unique_ptr<HardwareProfiler>
 makeProfiler(const ProfilerConfig &config)
 {
     config.validate();
-    if (config.numHashTables == 1)
-        return std::make_unique<SingleHashProfiler>(config);
     return std::make_unique<MultiHashProfiler>(config);
 }
 

@@ -2,9 +2,9 @@
  * @file
  * Construction of profilers from a ProfilerConfig.
  *
- * numHashTables == 1 yields a SingleHashProfiler, otherwise a
- * MultiHashProfiler; benches sweep configurations through this one
- * entry point.
+ * Every table count yields a MultiHashProfiler (numHashTables == 1
+ * is the paper's single-hash design); benches sweep configurations
+ * through this one entry point.
  */
 
 #ifndef MHP_CORE_FACTORY_H

@@ -31,6 +31,21 @@ randomizeRef(const uint64_t *tb, uint64_t v)
     return r;
 }
 
+/**
+ * Fill a 512-word block with the two random tables derived from
+ * `seed`: the one definition of the seeding scheme.
+ */
+void
+fillTables(uint64_t seed, uint64_t *out)
+{
+    Rng pc(SplitMix64(seed).next());
+    for (size_t i = 0; i < 256; ++i)
+        out[i] = pc.next();
+    Rng value(SplitMix64(seed ^ 0x76a1ebeefULL).next());
+    for (size_t i = 0; i < 256; ++i)
+        out[256 + i] = value.next();
+}
+
 unsigned
 checkedBits(uint64_t tableSize)
 {
@@ -232,29 +247,11 @@ ContributionTable::signatureBlock(const Tuple *block, size_t m,
         xorContributions<1>(tab, block[j], out + j);
 }
 
-void
-TupleHasher::fillTables(uint64_t seed, uint64_t *out)
-{
-    Rng pc(SplitMix64(seed).next());
-    for (size_t i = 0; i < 256; ++i)
-        out[i] = pc.next();
-    Rng value(SplitMix64(seed ^ 0x76a1ebeefULL).next());
-    for (size_t i = 0; i < 256; ++i)
-        out[256 + i] = value.next();
-}
-
-std::vector<uint64_t>
-TupleHasher::seededTables(uint64_t seed)
-{
-    std::vector<uint64_t> block(kTableWords);
-    fillTables(seed, block.data());
-    return block;
-}
-
 TupleHasher::TupleHasher(uint64_t seed, uint64_t tableSize)
-    : own(seededTables(seed)), words(own.data()), size(tableSize),
-      bits(checkedBits(tableSize)), packed(words, 1, bits)
+    : own(kTableWords), words(own.data()), size(tableSize),
+      bits(checkedBits(tableSize))
 {
+    fillTables(seed, own.data());
 }
 
 TupleHasher::TupleHasher(const uint64_t *tables, uint64_t tableSize)
@@ -283,11 +280,15 @@ TupleHasherFamily::TupleHasherFamily(uint64_t seed, unsigned numFunctions,
     words.resize(static_cast<size_t>(numFunctions) *
                  TupleHasher::kTableWords);
     members.reserve(numFunctions);
+    // One member is seeded exactly as TupleHasher(seed, tableSize):
+    // the one-table profiler hashes as the paper's single-hash design
+    // (Section 5.3). Of two or more, member i takes the i-th draw of a
+    // SplitMix64 stream over the family seed.
     SplitMix64 sm(seed);
     for (unsigned i = 0; i < numFunctions; ++i) {
         uint64_t *const block =
             words.data() + i * TupleHasher::kTableWords;
-        TupleHasher::fillTables(sm.next(), block);
+        fillTables(numFunctions == 1 ? seed : sm.next(), block);
         members.emplace_back(block, tableSize);
     }
     packed = ContributionTable(words.data(), numFunctions,

@@ -13,13 +13,15 @@
  * so xor-ing with the value yields a greater degree of variation.
  *
  * A TupleHasherFamily provides n independent functions by giving each
- * member its own random tables, exactly as the paper does.
+ * member its own random tables, exactly as the paper does. A
+ * one-member family is the single-hash design's one function: its
+ * member is seeded exactly as TupleHasher(seed, size).
  *
  * Layout contract (docs/PERF.md): one hasher's two 256-entry random
  * tables are a single contiguous block of 512 64-bit words — the PC
  * table at [0, 256), the value table at [256, 512) — and a family
  * packs its members' blocks back to back. These blocks are the source
- * of the hashers' ContributionTable and the operand of the reference
+ * of the family's ContributionTable and the operand of the reference
  * (kernel_ref::index / indexMulti); production ingest hashes through
  * the ContributionTable only.
  */
@@ -66,7 +68,7 @@ class ContributionTable
     /** Key-byte positions: 8 pc bytes, then 8 value bytes. */
     static constexpr unsigned kPositions = 16;
 
-    /** Empty table (a family member's view hasher carries none). */
+    /** Empty table (a family's, before its constructor builds it). */
     ContributionTable() = default;
 
     /**
@@ -128,8 +130,7 @@ class TupleHasher
     /**
      * View over an externally owned, already-filled 512-word table
      * block (a TupleHasherFamily's contiguous storage). The block must
-     * outlive the hasher. A view builds no ContributionTable: the
-     * family's table hashes all of its members.
+     * outlive the hasher.
      */
     TupleHasher(const uint64_t *tables, uint64_t tableSize);
 
@@ -140,20 +141,6 @@ class TupleHasher
     TupleHasher &operator=(const TupleHasher &) = delete;
     TupleHasher(TupleHasher &&) = default;
     TupleHasher &operator=(TupleHasher &&) = default;
-
-    /**
-     * Fill a 512-word block with the two random tables derived from
-     * `seed` — the single definition of the seeding scheme, shared by
-     * the owning constructor and TupleHasherFamily.
-     */
-    static void fillTables(uint64_t seed, uint64_t *out);
-
-    /**
-     * A fresh block filled by fillTables(seed): the storage an owner
-     * keeps alive under a view hasher when it needs no
-     * ContributionTable of the hasher's own.
-     */
-    static std::vector<uint64_t> seededTables(uint64_t seed);
 
     /** The table index for a tuple, in [0, tableSize). */
     uint64_t index(const Tuple &t) const;
@@ -172,12 +159,6 @@ class TupleHasher
         return kernel_ref::index(words, bits, t);
     }
 
-    /**
-     * This hasher's contribution table (one member, indexBits() wide);
-     * empty for a family member's view.
-     */
-    const ContributionTable &contributions() const { return packed; }
-
     /** This hasher's 512-word pc||value random-table block. */
     const uint64_t *tableWords() const { return words; }
 
@@ -191,8 +172,6 @@ class TupleHasher
     const uint64_t *words;
     uint64_t size;
     unsigned bits;
-    /** Built from `own`; empty for a view. */
-    ContributionTable packed;
 };
 
 /** n independent hash functions for an n-table multi-hash profiler. */
@@ -200,8 +179,9 @@ class TupleHasherFamily
 {
   public:
     /**
-     * @param seed Family seed; member i derives its tables from
-     *        (seed, i).
+     * @param seed Family seed. One member takes its tables from the
+     *        seed itself, as TupleHasher(seed, tableSize); of n >= 2,
+     *        member i derives them from (seed, i).
      * @param numFunctions Number of independent members.
      * @param tableSize Entries per indexed table (power of two).
      */

@@ -8,8 +8,7 @@ namespace mhp {
 HotSpotDetector::HotSpotDetector(const HotSpotConfig &config_,
                                  uint64_t thresholdCount_)
     : config(config_), thresholdCount(thresholdCount_),
-      hashTables(TupleHasher::seededTables(config_.seed)),
-      hasher(hashTables.data(), config_.entries / config_.ways)
+      hasher(config_.seed, config_.entries / config_.ways)
 {
     MHP_REQUIRE(config.ways >= 1, "BBB needs at least one way");
     MHP_REQUIRE(config.entries % config.ways == 0,

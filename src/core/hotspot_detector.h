@@ -99,10 +99,6 @@ class HotSpotDetector : public HardwareProfiler
 
     HotSpotConfig config;
     uint64_t thresholdCount;
-    /** The hasher's 512-word random-table block. */
-    std::vector<uint64_t> hashTables;
-    /** A view over hashTables: index() and signature() read no
-     *  ContributionTable, so none is built. */
     TupleHasher hasher;
     std::vector<Entry> entries; // sets * ways
     uint64_t sets;

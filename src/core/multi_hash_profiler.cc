@@ -287,6 +287,13 @@ std::string
 MultiHashProfiler::name() const
 {
     char buf[64];
+    // One table is the single-hash design, where C has no effect.
+    if (config.numHashTables == 1) {
+        std::snprintf(buf, sizeof(buf), "sh-R%dP%d",
+                      config.resetOnPromote ? 1 : 0,
+                      config.retaining ? 1 : 0);
+        return buf;
+    }
     std::snprintf(buf, sizeof(buf), "mh%u-C%dR%dP%d",
                   config.numHashTables,
                   config.conservativeUpdate ? 1 : 0,
@@ -336,7 +343,9 @@ Status
 MultiHashProfiler::saveState(ByteBuffer &out) const
 {
     out.u8(kMhStateVersion);
-    out.u32(static_cast<uint32_t>(tables.size()));
+    // A one-table blob keeps the single-hash layout: no table count.
+    if (tables.size() > 1)
+        out.u32(static_cast<uint32_t>(tables.size()));
     for (const CounterTable &table : tables)
         table.saveState(out);
     accumulator.saveState(out);
@@ -347,8 +356,8 @@ Status
 MultiHashProfiler::loadState(ByteCursor &in)
 {
     uint8_t version = 0;
-    uint32_t tableCount = 0;
-    if (!in.u8(version) || !in.u32(tableCount))
+    uint32_t tableCount = 1;
+    if (!in.u8(version) || (tables.size() > 1 && !in.u32(tableCount)))
         return Status::corruptData(
             "multi-hash profiler state is truncated");
     if (version != kMhStateVersion)

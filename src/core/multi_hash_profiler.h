@@ -1,19 +1,29 @@
 /**
  * @file
- * The Multi-Hash interval profiler (paper Section 6, Figure 8).
+ * The hash-table interval profiler: Multi-Hash (paper Section 6,
+ * Figure 8), and with n = 1 Single-Hash (Section 5, Figure 2).
  *
  * n untagged counter tables, each with an independent hash function,
- * front-end the accumulator table. A tuple is promoted only when the
- * counters in *all* n tables reach the candidate threshold — two
- * tuples that alias in one table almost surely separate in another,
- * which is what collapses the false-positive rate (the Estan-Varghese
+ * front-end a fully-associative accumulator table. An incoming tuple
+ * is first checked in the accumulator (shielding); on a miss it bumps
+ * its n counters. A tuple is promoted only when the counters in *all*
+ * n tables reach the candidate threshold — two tuples that alias in
+ * one table almost surely separate in another, which is what
+ * collapses the false-positive rate (the Estan-Varghese
  * multistage-filter insight applied to profiling).
  *
  * Optional behaviours:
  *  - conservative update (C1): increment only the counter(s) holding
- *    the minimum value among the tuple's n counters (Section 6.1);
- *  - resetting (R1): zero all n counters on promotion;
- *  - retaining (P1): as in the single-hash design.
+ *    the minimum value among the tuple's n counters (Section 6.1); on
+ *    one table that is every bump, so C0 and C1 coincide;
+ *  - resetting (R1): zero all n counters on promotion so aliased
+ *    tuples are not dragged in as false positives (Section 5.4.2);
+ *  - retaining (P1): carry the interval's candidates into the next
+ *    interval as replaceable entries (Section 5.4.1).
+ *
+ * The one-table profiler keeps the single-hash design's name
+ * (sh-RxPy) and checkpoint layout (no table count); see name() and
+ * saveState().
  */
 
 #ifndef MHP_CORE_MULTI_HASH_PROFILER_H
@@ -31,7 +41,7 @@
 
 namespace mhp {
 
-/** Multiple hash-table hardware profiler. */
+/** Single- and multiple-hash-table hardware profiler. */
 class MultiHashProfiler : public HardwareProfiler
 {
   public:
@@ -81,7 +91,9 @@ class MultiHashProfiler : public HardwareProfiler
     /**
      * Mid-stream state capture/restore for daemon crash recovery:
      * all n counter tables (the CounterBank) and the accumulator.
-     * See HardwareProfiler.
+     * The table count is written only for n >= 2, so a one-table
+     * blob has the single-hash layout (docs/FORMATS.md). See
+     * HardwareProfiler.
      */
     Status saveState(ByteBuffer &out) const override;
     Status loadState(ByteCursor &in) override;

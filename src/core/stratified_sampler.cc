@@ -10,9 +10,8 @@ namespace mhp {
 StratifiedSampler::StratifiedSampler(
         const StratifiedSamplerConfig &config_, uint64_t thresholdCount_)
     : config(config_), thresholdCount(thresholdCount_),
-      hashTables(TupleHasher::seededTables(config_.seed)),
-      hasher(hashTables.data(), config_.entries),
-      contributions(hashTables.data(), 1,
+      hasher(config_.seed, config_.entries),
+      contributions(hasher.tableWords(), 1,
                     config_.tagged ? 64 : hasher.indexBits())
 {
     blockIndexScratch.resize(kIngestBlock);

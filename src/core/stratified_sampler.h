@@ -129,9 +129,6 @@ class StratifiedSampler : public HardwareProfiler
 
     StratifiedSamplerConfig config;
     uint64_t thresholdCount;
-    /** The hasher's 512-word random-table block. */
-    std::vector<uint64_t> hashTables;
-    /** A view over hashTables: it builds no table of its own. */
     TupleHasher hasher;
     /**
      * The one contribution table the variant reads: folded indexes

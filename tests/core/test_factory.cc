@@ -2,18 +2,25 @@
 
 #include "core/factory.h"
 #include "core/multi_hash_profiler.h"
-#include "core/single_hash_profiler.h"
 
 namespace mhp {
 namespace {
 
-TEST(Factory, OneTableYieldsSingleHash)
+TEST(Factory, OneTableIsTheSingleHashDesign)
 {
-    ProfilerConfig c;
-    c.numHashTables = 1;
-    auto p = makeProfiler(c);
-    ASSERT_NE(p, nullptr);
-    EXPECT_NE(dynamic_cast<SingleHashProfiler *>(p.get()), nullptr);
+    // The single-hash design is the one-table MultiHashProfiler. It
+    // keeps its own name, which has no C: one counter makes C0 and C1
+    // the same profiler.
+    for (const bool conservative : {false, true}) {
+        ProfilerConfig c;
+        c.numHashTables = 1;
+        c.resetOnPromote = true;
+        c.retaining = false;
+        c.conservativeUpdate = conservative;
+        auto p = makeProfiler(c);
+        ASSERT_NE(dynamic_cast<MultiHashProfiler *>(p.get()), nullptr);
+        EXPECT_EQ(p->name(), "sh-R1P0");
+    }
 }
 
 TEST(Factory, MultipleTablesYieldMultiHash)

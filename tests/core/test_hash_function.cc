@@ -160,6 +160,25 @@ TEST(TupleHasher, IndexHotMatchesIndex)
     EXPECT_EQ(h.indexHot({~0ULL, ~0ULL}), h.index({~0ULL, ~0ULL}));
 }
 
+TEST(OneTable, FamilyMemberIsTheSingleHasher)
+{
+    // A one-member family seeds its member as TupleHasher(seed, size):
+    // the one-table profiler indexes exactly as the single-hash design.
+    Rng rng(0x0e7ab1e);
+    for (const uint64_t seed : {uint64_t{0}, uint64_t{1}, uint64_t{777},
+                                uint64_t{0x5eed5eed5eedULL}}) {
+        for (uint64_t size = 256; size <= 65536; size *= 4) {
+            const TupleHasherFamily fam(seed, 1, size);
+            const TupleHasher h(seed, size);
+            for (int i = 0; i < 2000; ++i) {
+                const Tuple t{rng.next(), rng.next()};
+                ASSERT_EQ(fam.function(0).index(t), h.index(t))
+                    << "seed=" << seed << " size=" << size;
+            }
+        }
+    }
+}
+
 TEST(TupleHasherFamily, FamilyIsDeterministicPerSeed)
 {
     TupleHasherFamily a(42, 3, 256), b(42, 3, 256);
@@ -265,12 +284,11 @@ TEST(ContributionTable, LayoutPacksMembersIntoFields)
     EXPECT_EQ(mh16.contributions().members(), 16u);
     EXPECT_EQ(mh16.contributions().fieldBits(), 7u);
 
-    // A single hasher owns a one-member table; the family's views own
-    // none (the family's table hashes them).
-    const TupleHasher bsh(1, 2048);
+    // The one-table profiler's family: one 11-bit member.
+    const TupleHasherFamily bsh(1, 1, 2048);
     EXPECT_EQ(bsh.contributions().members(), 1u);
     EXPECT_EQ(bsh.contributions().fieldBits(), 11u);
-    EXPECT_EQ(mh4.function(0).contributions().members(), 0u);
+    EXPECT_EQ(bsh.contributions().fieldsPerWord(), 5u);
 }
 
 TEST(ContributionTable, EveryBytePositionMatchesReference)
@@ -335,14 +353,17 @@ TEST(ContributionTable, RandomAndStructuredTuplesMatchReference)
 
 TEST(ContributionTable, SingleHasherMatchesIndex)
 {
+    // A one-member family's table against the hasher the single-hash
+    // design indexes with.
     for (const uint64_t size : {uint64_t{2}, uint64_t{256}, uint64_t{2048},
                                 uint64_t{1} << 13, uint64_t{1} << 20}) {
+        const TupleHasherFamily fam(size * 13 + 1, 1, size);
         const TupleHasher h(size * 13 + 1, size);
         std::vector<Tuple> ts = everyBytePosition({0x400123, 0x55});
         const std::vector<Tuple> more = randomAndStructured(500, size);
         ts.insert(ts.end(), more.begin(), more.end());
         std::vector<uint32_t> got(ts.size());
-        h.contributions().indexBlock(ts.data(), ts.size(), got.data(), 0);
+        fam.contributions().indexBlock(ts.data(), ts.size(), got.data(), 0);
         for (size_t j = 0; j < ts.size(); ++j) {
             ASSERT_EQ(got[j], static_cast<uint32_t>(h.index(ts[j])))
                 << "size=" << size << " j=" << j;

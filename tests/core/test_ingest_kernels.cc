@@ -139,11 +139,13 @@ expectHashedBumpRunMatches(const IngestKernels &kern,
 
 // The four hash tests below keep their per-tier form: the hash kernel
 // is the one portable ContributionTable kernel under every tier, and
-// each tier's bump kernels consume its indexes.
+// each tier's bump kernels consume its indexes. The one-table tests
+// hash through a one-member family, the one-table profiler's hasher.
 
 TEST_P(IngestKernelTiers, HashBlockMatchesReference)
 {
-    TupleHasher hasher(0x1234, 2048);
+    const TupleHasherFamily family(0x1234, 1, 2048);
+    const TupleHasher &hasher = family.function(0);
     const unsigned bits = hasher.indexBits();
     const uint64_t *const tables = hasher.tableWords();
 
@@ -154,7 +156,7 @@ TEST_P(IngestKernelTiers, HashBlockMatchesReference)
         const std::vector<Tuple> tuples = randomTuples(m, 99 + m);
         std::vector<uint32_t> got(m + 1, 0xdeadbeef);
         std::vector<uint32_t> want(m + 1, 0xdeadbeef);
-        hasher.contributions().indexBlock(tuples.data(), m, got.data(), 0);
+        family.contributions().indexBlock(tuples.data(), m, got.data(), 0);
         for (size_t j = 0; j < m; ++j) {
             want[j] = static_cast<uint32_t>(
                 kernel_ref::index(tables, bits, tuples[j]));
@@ -174,13 +176,14 @@ TEST_P(IngestKernelTiers, HashBlockMatchesAcrossFoldWidths)
     for (const uint64_t tableSize :
          {uint64_t{2}, uint64_t{8}, uint64_t{128}, uint64_t{1} << 13,
           uint64_t{1} << 20}) {
-        TupleHasher hasher(tableSize * 31 + 5, tableSize);
+        const TupleHasherFamily family(tableSize * 31 + 5, 1, tableSize);
+        const TupleHasher &hasher = family.function(0);
         const unsigned bits = hasher.indexBits();
         const uint64_t *const tables = hasher.tableWords();
         const size_t m = 37;
         const std::vector<Tuple> tuples = randomTuples(m, tableSize);
         std::vector<uint32_t> got(m), want(m);
-        hasher.contributions().indexBlock(tuples.data(), m, got.data(), 0);
+        family.contributions().indexBlock(tuples.data(), m, got.data(), 0);
         for (size_t j = 0; j < m; ++j) {
             want[j] = static_cast<uint32_t>(
                 kernel_ref::index(tables, bits, tuples[j]));

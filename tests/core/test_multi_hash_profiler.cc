@@ -94,7 +94,7 @@ TEST(MultiHashProfiler, SingleTableAliasDoesNotPromote)
 TEST(MultiHashProfiler, SameStimulusPromotesInSingleTableConfig)
 {
     // Sanity check of the previous test's setup: with one table the
-    // same alias IS a false positive (cf. SingleHashProfiler).
+    // same alias IS a false positive (the single-hash design).
     auto cfg = baseConfig(1);
     MultiHashProfiler p(cfg);
     const Tuple hot{1, 1};

@@ -1,7 +1,18 @@
+/**
+ * @file
+ * The single-hash design (paper Section 5) is MultiHashProfiler with
+ * one table: these tests pin its Section 5 behaviour, hashing through
+ * the TupleHasher the design specifies, and the one-table invariants
+ * (C0 and C1 coincide, which is why the name sh-RxPy omits C).
+ */
+
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/hash_function.h"
-#include "core/single_hash_profiler.h"
+#include "core/multi_hash_profiler.h"
+#include "support/rng.h"
 
 namespace mhp {
 namespace {
@@ -50,7 +61,7 @@ findNonAlias(const ProfilerConfig &c, const Tuple &target)
 
 TEST(SingleHashProfiler, FrequentTupleBecomesCandidate)
 {
-    SingleHashProfiler p(baseConfig());
+    MultiHashProfiler p(baseConfig());
     const Tuple hot{1, 1};
     for (int i = 0; i < 50; ++i)
         p.onEvent(hot);
@@ -63,7 +74,7 @@ TEST(SingleHashProfiler, FrequentTupleBecomesCandidate)
 
 TEST(SingleHashProfiler, RareTupleIsNotCandidate)
 {
-    SingleHashProfiler p(baseConfig());
+    MultiHashProfiler p(baseConfig());
     for (int i = 0; i < 9; ++i)
         p.onEvent({1, 1}); // one below threshold
     const IntervalSnapshot snap = p.endInterval();
@@ -72,7 +83,7 @@ TEST(SingleHashProfiler, RareTupleIsNotCandidate)
 
 TEST(SingleHashProfiler, ExactlyThresholdIsCandidate)
 {
-    SingleHashProfiler p(baseConfig());
+    MultiHashProfiler p(baseConfig());
     for (int i = 0; i < 10; ++i)
         p.onEvent({1, 1});
     const IntervalSnapshot snap = p.endInterval();
@@ -82,21 +93,21 @@ TEST(SingleHashProfiler, ExactlyThresholdIsCandidate)
 
 TEST(SingleHashProfiler, ShieldingStopsHashPressureAfterPromotion)
 {
-    SingleHashProfiler p(baseConfig());
+    MultiHashProfiler p(baseConfig());
     const Tuple hot{1, 1};
     for (int i = 0; i < 10; ++i)
         p.onEvent(hot); // promoted at count 10
-    const uint64_t counter_after_promo = p.counterValueFor(hot);
+    const uint64_t counter_after_promo = p.counterValueIn(0, hot);
     for (int i = 0; i < 20; ++i)
         p.onEvent(hot); // shielded: counter must not move
-    EXPECT_EQ(p.counterValueFor(hot), counter_after_promo);
+    EXPECT_EQ(p.counterValueIn(0, hot), counter_after_promo);
 }
 
 TEST(SingleHashProfiler, AliasingCausesFalsePositiveWithoutReset)
 {
     auto cfg = baseConfig();
     cfg.resetOnPromote = false;
-    SingleHashProfiler p(cfg);
+    MultiHashProfiler p(cfg);
     const Tuple hot{1, 1};
     const Tuple alias = findAlias(cfg, hot);
 
@@ -111,7 +122,7 @@ TEST(SingleHashProfiler, ResettingPreventsThatFalsePositive)
 {
     auto cfg = baseConfig();
     cfg.resetOnPromote = true;
-    SingleHashProfiler p(cfg);
+    MultiHashProfiler p(cfg);
     const Tuple hot{1, 1};
     const Tuple alias = findAlias(cfg, hot);
 
@@ -126,7 +137,7 @@ TEST(SingleHashProfiler, ResettingPreventsThatFalsePositive)
 TEST(SingleHashProfiler, NonAliasedTuplesCountIndependently)
 {
     auto cfg = baseConfig();
-    SingleHashProfiler p(cfg);
+    MultiHashProfiler p(cfg);
     const Tuple a{1, 1};
     const Tuple b = findNonAlias(cfg, a);
     for (int i = 0; i < 9; ++i) {
@@ -139,12 +150,12 @@ TEST(SingleHashProfiler, NonAliasedTuplesCountIndependently)
 
 TEST(SingleHashProfiler, EndIntervalFlushesHashTable)
 {
-    SingleHashProfiler p(baseConfig());
+    MultiHashProfiler p(baseConfig());
     const Tuple t{1, 1};
     for (int i = 0; i < 9; ++i)
         p.onEvent(t);
     (void)p.endInterval();
-    EXPECT_EQ(p.counterValueFor(t), 0u);
+    EXPECT_EQ(p.counterValueIn(0, t), 0u);
     // 9 more in the new interval: still below threshold.
     for (int i = 0; i < 9; ++i)
         p.onEvent(t);
@@ -156,7 +167,7 @@ TEST(SingleHashProfiler, UnflushedTablesLeakAcrossIntervals)
     auto cfg = baseConfig();
     cfg.flushHashTables = false;
     cfg.retaining = false;
-    SingleHashProfiler p(cfg);
+    MultiHashProfiler p(cfg);
     const Tuple t{1, 1};
     // 6 occurrences per interval: never a candidate within one.
     for (int iv = 0; iv < 2; ++iv) {
@@ -177,7 +188,7 @@ TEST(SingleHashProfiler, FlushedTablesDoNotLeak)
 {
     auto cfg = baseConfig();
     cfg.retaining = false;
-    SingleHashProfiler p(cfg);
+    MultiHashProfiler p(cfg);
     const Tuple t{1, 1};
     for (int iv = 0; iv < 3; ++iv) {
         for (int i = 0; i < 6; ++i)
@@ -190,7 +201,7 @@ TEST(SingleHashProfiler, RetainingShieldsRecurringCandidates)
 {
     auto cfg = baseConfig();
     cfg.retaining = true;
-    SingleHashProfiler p(cfg);
+    MultiHashProfiler p(cfg);
     const Tuple hot{1, 1};
     for (int i = 0; i < 20; ++i)
         p.onEvent(hot);
@@ -199,7 +210,7 @@ TEST(SingleHashProfiler, RetainingShieldsRecurringCandidates)
     // the hash counter must stay untouched.
     for (int i = 0; i < 15; ++i)
         p.onEvent(hot);
-    EXPECT_EQ(p.counterValueFor(hot), 0u);
+    EXPECT_EQ(p.counterValueIn(0, hot), 0u);
     const IntervalSnapshot snap = p.endInterval();
     ASSERT_EQ(snap.size(), 1u);
     EXPECT_EQ(snap[0].count, 15u); // exact: no hash-table phase at all
@@ -209,7 +220,7 @@ TEST(SingleHashProfiler, NoRetainingRequiresRepromotion)
 {
     auto cfg = baseConfig();
     cfg.retaining = false;
-    SingleHashProfiler p(cfg);
+    MultiHashProfiler p(cfg);
     const Tuple hot{1, 1};
     for (int i = 0; i < 20; ++i)
         p.onEvent(hot);
@@ -221,7 +232,7 @@ TEST(SingleHashProfiler, NoRetainingRequiresRepromotion)
 
 TEST(SingleHashProfiler, ResetClearsRetainedState)
 {
-    SingleHashProfiler p(baseConfig());
+    MultiHashProfiler p(baseConfig());
     for (int i = 0; i < 20; ++i)
         p.onEvent({1, 1});
     (void)p.endInterval();
@@ -236,22 +247,54 @@ TEST(SingleHashProfiler, NameEncodesOptions)
     auto cfg = baseConfig();
     cfg.resetOnPromote = true;
     cfg.retaining = false;
-    SingleHashProfiler p(cfg);
+    MultiHashProfiler p(cfg);
     EXPECT_EQ(p.name(), "sh-R1P0");
 }
 
 TEST(SingleHashProfiler, AreaIsPositive)
 {
-    SingleHashProfiler p(baseConfig());
+    MultiHashProfiler p(baseConfig());
     EXPECT_GT(p.areaBytes(), 0u);
 }
 
-TEST(SingleHashProfilerDeathTest, RejectsMultiTableConfig)
+TEST(OneTable, ConservativeUpdateIsInvisible)
 {
-    auto cfg = baseConfig();
-    cfg.numHashTables = 2;
-    EXPECT_EXIT(SingleHashProfiler{cfg}, ::testing::ExitedWithCode(1),
-                "");
+    // On one counter, "bump the minimum" is every bump: C0 and C1 must
+    // write identical snapshots and counters, whatever R, P and
+    // shielding are.
+    Rng rng(0xc0c1);
+    std::vector<Tuple> stream(12'000);
+    for (Tuple &t : stream) {
+        const uint64_t r = rng.next();
+        const uint64_t key = (r & 1) ? (r >> 1) % 24 : (r >> 1) % 3000;
+        t = {0x400000 + 4 * key, key % 5};
+    }
+    for (const bool reset : {false, true}) {
+        for (const bool retain : {false, true}) {
+            for (const bool shielding : {false, true}) {
+                auto cfg = baseConfig();
+                cfg.resetOnPromote = reset;
+                cfg.retaining = retain;
+                cfg.shielding = shielding;
+                cfg.conservativeUpdate = false;
+                MultiHashProfiler c0(cfg);
+                cfg.conservativeUpdate = true;
+                MultiHashProfiler c1(cfg);
+                ASSERT_EQ(c0.name(), c1.name());
+                for (size_t at = 0; at < stream.size(); at += 500) {
+                    c0.onEvents(stream.data() + at, 500);
+                    c1.onEvents(stream.data() + at, 500);
+                    ASSERT_EQ(c0.counterValueIn(0, stream[at]),
+                              c1.counterValueIn(0, stream[at]));
+                    if ((at + 500) % cfg.intervalLength == 0) {
+                        ASSERT_EQ(c0.endInterval(), c1.endInterval())
+                            << c0.name() << " shielding=" << shielding
+                            << " at " << at;
+                    }
+                }
+            }
+        }
+    }
 }
 
 } // namespace
