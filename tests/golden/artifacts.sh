@@ -52,3 +52,11 @@ done
 "$TOOLS/mhprof_coord" --serial --benchmark=gcc --intervals=3 \
     --tables=1 --reset --sweep-lengths=2000,10000 \
     > "$OUT/coord_gcc_bsh.txt"
+
+# Bench tables whose sweeps score many configurations of one
+# benchmark against one stream (stdout at full scale; an empty
+# MHP_CSV_DIR keeps the CSV side output off).
+for name in fig10_multihash_10k ablation_seeds; do
+    MHP_SCALE=1 MHP_CSV_DIR= "$TOOLS/../bench/$name" \
+        > "$OUT/bench_$name.txt"
+done
