@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "common.h"
 #include "core/factory.h"
@@ -26,25 +27,33 @@ main()
                   "error across 8 random-table seeds, 10K @ 1%");
 
     const uint64_t intervals = bench::scaledIntervals(20);
-    const int num_seeds = 8;
+    const size_t num_seeds = 8;
 
     TablePrinter table({"benchmark", "profiler", "mean-err%",
                         "min-err%", "max-err%", "stddev"});
 
-    for (const std::string name : {"gcc", "go", "vortex"}) {
+    // Every seed of both designs profiles one shared stream per
+    // benchmark: configs [0, 8) are BSH, [8, 16) mh4.
+    std::vector<bench::LabelledConfig> configs;
+    for (const bool multi : {false, true}) {
+        for (size_t s = 0; s < num_seeds; ++s) {
+            ProfilerConfig c = multi ? bestMultiHashConfig(10'000, 0.01)
+                                     : bestSingleHashConfig(10'000, 0.01);
+            c.seed = 0x1000 + s * 7919;
+            configs.push_back({multi ? "mh4" : "bsh", c});
+        }
+    }
+
+    for (const auto &rows : bench::runSuiteConfigs(
+             {"gcc", "go", "vortex"}, false, configs, intervals)) {
         for (const bool multi : {false, true}) {
             RunningStats errs;
-            for (int s = 0; s < num_seeds; ++s) {
-                ProfilerConfig c =
-                    multi ? bestMultiHashConfig(10'000, 0.01)
-                          : bestSingleHashConfig(10'000, 0.01);
-                c.seed = 0x1000 + static_cast<uint64_t>(s) * 7919;
-                const auto rows = bench::runBenchmarkConfigs(
-                    name, false, {{multi ? "mh4" : "bsh", c}},
-                    intervals);
-                errs.add(rows[0].error.total() * 100.0);
-            }
-            table.addRow({name, multi ? "mh4-C1R0" : "BSH(R1P1)",
+            for (size_t s = 0; s < num_seeds; ++s)
+                errs.add(rows[(multi ? num_seeds : 0) + s]
+                             .error.total() *
+                         100.0);
+            table.addRow({rows[0].benchmark,
+                          multi ? "mh4-C1R0" : "BSH(R1P1)",
                           TablePrinter::num(errs.mean(), 3),
                           TablePrinter::num(errs.min(), 3),
                           TablePrinter::num(errs.max(), 3),

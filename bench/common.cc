@@ -10,7 +10,6 @@
 #include "core/factory.h"
 #include "support/env.h"
 #include "support/panic.h"
-#include "workload/benchmarks.h"
 
 namespace mhp {
 namespace bench {
@@ -87,68 +86,15 @@ reportTimingEnvironment(unsigned repetitions)
                 repetitions);
 }
 
-std::vector<SweepRow>
-runBenchmarkConfigs(const std::string &benchmark, bool edges,
-                    const std::vector<LabelledConfig> &configs,
-                    uint64_t intervals)
-{
-    MHP_REQUIRE(!configs.empty(), "no configurations");
-    const uint64_t interval_length = configs[0].config.intervalLength;
-    const uint64_t threshold = configs[0].config.thresholdCount();
-    for (const auto &lc : configs) {
-        MHP_REQUIRE(lc.config.intervalLength == interval_length,
-                    "sweep configs must share the interval length");
-        MHP_REQUIRE(lc.config.thresholdCount() == threshold,
-                    "sweep configs must share the threshold");
-    }
-
-    std::vector<std::unique_ptr<HardwareProfiler>> profilers;
-    std::vector<HardwareProfiler *> raw;
-    profilers.reserve(configs.size());
-    for (const auto &lc : configs) {
-        profilers.push_back(makeProfiler(lc.config));
-        raw.push_back(profilers.back().get());
-    }
-
-    std::unique_ptr<EventSource> source;
-    if (edges)
-        source = makeEdgeWorkload(benchmark);
-    else
-        source = makeValueWorkload(benchmark);
-
-    // Blocks of 4096 events: one virtual dispatch per block instead of
-    // per event, scores bit-identical to the per-event run (the
-    // onEvents == onEvent contract).
-    EventSourceCursor cursor(*source);
-    const RunOutput out = runIntervalsStream(cursor, raw, interval_length,
-                                             threshold, intervals);
-
-    std::vector<SweepRow> rows;
-    rows.reserve(configs.size());
-    for (size_t i = 0; i < configs.size(); ++i) {
-        SweepRow row;
-        row.benchmark = benchmark;
-        row.label = configs[i].label;
-        row.error = out.results[i].averageError();
-        row.hardwareCandidates =
-            out.results[i].meanHardwareCandidates();
-        row.perfectCandidates =
-            out.results[i].meanPerfectCandidates();
-        rows.push_back(row);
-    }
-    return rows;
-}
-
 std::vector<std::vector<SweepRow>>
 runSuiteConfigs(const std::vector<std::string> &benchmarks, bool edges,
                 const std::vector<LabelledConfig> &configs,
                 uint64_t intervals)
 {
-    // Shard at (benchmark x config) granularity through the sweep
-    // engine. Every cell regenerates the same seeded stream the shared
-    // pump used to produce, so the rows are identical to the old
-    // one-thread-per-benchmark driver — there are just more,
-    // better-balanced cells to schedule.
+    // One sweep through the engine: configs that share a benchmark's
+    // interval length and threshold count profile one generated
+    // stream against one truth, and the rows are the same as running
+    // each config alone over that seeded stream.
     SweepPlan plan;
     plan.benchmarks = benchmarks;
     plan.kind = edges ? ProfileKind::Edge : ProfileKind::Value;

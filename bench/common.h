@@ -4,8 +4,9 @@
  *
  * Every bench prints: a header naming the paper figure it regenerates,
  * the experiment parameters (after MHP_SCALE), and its result table.
- * runBenchmarkConfigs() is the common "one stream, many profiler
- * configurations" driver used by Figures 7 and 10-14.
+ * runSuiteConfigs() is the common "one stream, many profiler
+ * configurations" driver used by Figures 7 and 10-14 and the
+ * ablations.
  */
 
 #ifndef MHP_BENCH_COMMON_H
@@ -77,23 +78,12 @@ struct SweepRow
 };
 
 /**
- * Run every config against one benchmark's value (or edge) stream and
- * return one row per config. The stream is generated once.
- *
- * @param benchmark Benchmark name from the suite.
- * @param edges Use the edge workload instead of the value workload.
- * @param configs The profiler configurations to evaluate together.
- * @param intervals Number of profile intervals to run.
- */
-std::vector<SweepRow> runBenchmarkConfigs(
-    const std::string &benchmark, bool edges,
-    const std::vector<LabelledConfig> &configs, uint64_t intervals);
-
-/**
- * Run every config against every named benchmark, one worker thread
- * per benchmark (cells are independent; output order is fixed, so the
- * result is identical to the serial loop). Returns one row vector per
- * benchmark, in input order.
+ * Run every config against every named benchmark's value (or edge)
+ * stream through the sweep engine, which generates each benchmark's
+ * stream once for all configs that share its interval length and
+ * threshold. Output order is fixed, so the result is identical to
+ * the serial loop. Returns one row vector per benchmark, in input
+ * order, one row per config.
  */
 std::vector<std::vector<SweepRow>> runSuiteConfigs(
     const std::vector<std::string> &benchmarks, bool edges,

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <mutex>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "analysis/sweep_journal.h"
@@ -63,6 +65,62 @@ coordinatesOf(const SweepPlan &plan, uint64_t cell)
     at.config = rem / lengths;
     at.intervalLength = rem % lengths;
     return at;
+}
+
+/** A cell's profiler configuration, at the cell's interval length. */
+ProfilerConfig
+configOf(const SweepPlan &plan, const CellCoordinates &at)
+{
+    ProfilerConfig config = plan.configs[at.config].config;
+    if (!plan.intervalLengths.empty())
+        config.intervalLength = plan.intervalLengths[at.intervalLength];
+    return config;
+}
+
+/**
+ * True when a failpoint fails or slows the cell's first attempt. Such
+ * a cell runs alone through runCellResilient(), so its failures,
+ * retries and quarantine are exactly those of a per-cell sweep. The
+ * check is pure in (spec, seed, site, cell, attempt): it uses up
+ * nothing.
+ */
+bool
+faultedAtFirstAttempt(uint64_t cell)
+{
+    return failpointFires("sweep.cell.compute", cell, 0) ||
+           failpointDelayMs("sweep.cell.slow", cell, 0) > 0;
+}
+
+/**
+ * One unit of runResilient() work: a single cell through its retry
+ * loop, or a group slice — cells of one benchmark, interval length
+ * and threshold count, in plan order, fed from one stream.
+ */
+struct SweepTask
+{
+    std::vector<uint64_t> cells;
+    bool alone = false;
+};
+
+/**
+ * Cut `members` into `slices` contiguous runs whose sizes differ by
+ * at most one (fewer when there are fewer members).
+ */
+void
+appendSlices(std::vector<SweepTask> &tasks,
+             const std::vector<uint64_t> &members, size_t slices)
+{
+    slices = std::min(slices, members.size());
+    size_t begin = 0;
+    for (size_t s = 0; s < slices; ++s) {
+        const size_t size = members.size() / slices +
+                            (s < members.size() % slices ? 1 : 0);
+        SweepTask task;
+        task.cells.assign(members.begin() + begin,
+                          members.begin() + begin + size);
+        tasks.push_back(std::move(task));
+        begin += size;
+    }
 }
 
 } // namespace
@@ -135,45 +193,59 @@ SweepRunner::planFingerprint() const
 }
 
 RunStopReason
-SweepRunner::computeCellStream(size_t cell, SweepCellResult &result,
-                               const CancelToken *cancel,
-                               uint64_t deadlineMs) const
+SweepRunner::computeCells(std::span<const uint64_t> cells,
+                          std::span<SweepCellResult> results,
+                          const CancelToken *cancel,
+                          uint64_t deadlineMs) const
 {
     const SweepPlan &plan = sweepPlan;
-    const CellCoordinates at = coordinatesOf(plan, cell);
-    result.benchmarkIndex = at.benchmark;
-    result.configIndex = at.config;
-    result.intervalLengthIndex = at.intervalLength;
-    result.benchmark = plan.benchmarks[at.benchmark];
-    result.configLabel = plan.configs[at.config].label;
+    MHP_REQUIRE(!cells.empty() && cells.size() == results.size(),
+                "one result slot per grouped cell");
 
-    ProfilerConfig config = plan.configs[at.config].config;
-    if (!plan.intervalLengths.empty())
-        config.intervalLength = plan.intervalLengths[at.intervalLength];
-    result.intervalLength = config.intervalLength;
-    result.thresholdCount = config.thresholdCount();
+    std::vector<std::unique_ptr<HardwareProfiler>> profilers;
+    std::vector<HardwareProfiler *> members;
+    for (size_t i = 0; i < cells.size(); ++i) {
+        const CellCoordinates at = coordinatesOf(plan, cells[i]);
+        SweepCellResult &result = results[i];
+        result.benchmarkIndex = at.benchmark;
+        result.configIndex = at.config;
+        result.intervalLengthIndex = at.intervalLength;
+        result.benchmark = plan.benchmarks[at.benchmark];
+        result.configLabel = plan.configs[at.config].label;
 
-    const std::unique_ptr<HardwareProfiler> profiler =
-        makeProfiler(config);
+        const ProfilerConfig config = configOf(plan, at);
+        result.intervalLength = config.intervalLength;
+        result.thresholdCount = config.thresholdCount();
+        MHP_REQUIRE(result.benchmarkIndex == results[0].benchmarkIndex &&
+                        result.intervalLength ==
+                            results[0].intervalLength &&
+                        result.thresholdCount ==
+                            results[0].thresholdCount,
+                    "grouped cells share one stream and one truth");
+        profilers.push_back(makeProfiler(config));
+        members.push_back(profilers.back().get());
+    }
+    const SweepCellResult &shared = results[0];
+
     std::unique_ptr<EventSource> workload;
     std::unique_ptr<StreamCursor> cursor;
     if (plan.trace) {
-        // Every cell gets its own cursor over the one shared mapping:
-        // zero-copy chunks, no per-cell trace materialization.
+        // Every group gets its own cursor over the one shared mapping:
+        // zero-copy chunks, no per-group trace materialization.
         cursor = std::make_unique<TraceMapSource>(plan.trace);
     } else {
         switch (plan.kind) {
         case ProfileKind::Edge:
             workload =
-                makeEdgeWorkload(result.benchmark, plan.workloadSeed);
+                makeEdgeWorkload(shared.benchmark, plan.workloadSeed);
             break;
         case ProfileKind::Path:
             workload =
-                makePathWorkload(result.benchmark, plan.workloadSeed);
+                makePathWorkload(shared.benchmark, plan.workloadSeed);
             break;
         default:
             workload =
-                makeValueWorkload(result.benchmark, plan.workloadSeed);
+                makeValueWorkload(shared.benchmark, plan.workloadSeed);
             break;
         }
         // Every take() asks for at most min(batchSize, interval
@@ -181,7 +253,7 @@ SweepRunner::computeCellStream(size_t cell, SweepCellResult &result,
         cursor = std::make_unique<EventSourceCursor>(
             *workload,
             static_cast<size_t>(
-                std::min(plan.batchSize, config.intervalLength)));
+                std::min(plan.batchSize, shared.intervalLength)));
     }
 
     StreamRunOptions options;
@@ -189,14 +261,18 @@ SweepRunner::computeCellStream(size_t cell, SweepCellResult &result,
     options.cancel = cancel;
     options.deadlineMs = deadlineMs;
 
+    // One stream and one perfect profile feed every member: each
+    // profiler sees exactly the chunks it would see alone.
     RunOutput run = runIntervalsStream(
-        *cursor, {profiler.get()}, config.intervalLength,
-        config.thresholdCount(), plan.intervals, options);
+        *cursor, members, shared.intervalLength, shared.thresholdCount,
+        plan.intervals, options);
 
-    result.run = std::move(run.results[0]);
-    result.stream = std::move(run.stream);
-    result.eventsConsumed = run.eventsConsumed;
-    result.intervalsCompleted = run.intervalsCompleted;
+    for (size_t i = 0; i < results.size(); ++i) {
+        results[i].run = std::move(run.results[i]);
+        results[i].stream = run.stream;
+        results[i].eventsConsumed = run.eventsConsumed;
+        results[i].intervalsCompleted = run.intervalsCompleted;
+    }
     return run.stopped;
 }
 
@@ -245,8 +321,9 @@ SweepRunner::runCellResilient(
                                  "sweep.cell.compute)");
         } else {
             SweepCellResult result;
-            const RunStopReason stop = computeCellStream(
-                cell, result, options.cancel, deadlineMs);
+            const RunStopReason stop =
+                computeCells({&cell, 1}, {&result, 1}, options.cancel,
+                             deadlineMs);
             if (stop == RunStopReason::Cancelled) {
                 outcome.cancelled = true;
                 outcome.attempts = attempt;
@@ -291,10 +368,7 @@ SweepRunner::quarantineFor(uint64_t cell, unsigned attempts,
     q.cellIndex = cell;
     q.benchmark = plan.benchmarks[at.benchmark];
     q.configLabel = plan.configs[at.config].label;
-    q.intervalLength =
-        plan.intervalLengths.empty()
-            ? plan.configs[at.config].config.intervalLength
-            : plan.intervalLengths[at.intervalLength];
+    q.intervalLength = configOf(plan, at).intervalLength;
     q.attempts = attempts;
     q.status = std::move(lastError);
     return q;
@@ -326,21 +400,91 @@ SweepRunner::runResilient(const SweepResilienceOptions &options) const
             return bad;
     }
 
+    // Pending cells become tasks. A group is the cells of one
+    // benchmark, interval length and threshold count: they read the
+    // same stream and share one truth, so one generated stream and
+    // one perfect profile feed all of their profilers. Cells with an
+    // injected fault on their first attempt, and every cell under a
+    // deadline, run alone through the per-cell retry loop.
+    std::vector<SweepTask> tasks;
+    std::map<std::tuple<size_t, uint64_t, uint64_t>, std::vector<uint64_t>>
+        groups;
+    uint64_t completedCells = 0;
+    size_t pending = 0;
+    for (uint64_t cell = 0; cell < cells; ++cell) {
+        if (auto it = loaded.completed.find(cell);
+            it != loaded.completed.end()) {
+            report.results[cell] = it->second;
+            ++completedCells;
+            continue;
+        }
+        ++pending;
+        if (options.cellDeadlineMs > 0 || faultedAtFirstAttempt(cell)) {
+            tasks.push_back({{cell}, /*alone=*/true});
+            continue;
+        }
+        const CellCoordinates at = coordinatesOf(sweepPlan, cell);
+        const ProfilerConfig config = configOf(sweepPlan, at);
+        groups[{at.benchmark, config.intervalLength,
+                config.thresholdCount()}]
+            .push_back(cell);
+    }
+    // Keep every worker busy: with fewer groups than workers, each
+    // group is cut into ceil(workers / groups) contiguous config
+    // slices.
+    const size_t workers = parallelWorkers(pending, options.threads);
+    const size_t slices =
+        !groups.empty() && groups.size() < workers
+            ? (workers + groups.size() - 1) / groups.size()
+            : 1;
+    for (const auto &[key, members] : groups)
+        appendSlices(tasks, members, slices);
+    std::sort(tasks.begin(), tasks.end(),
+              [](const SweepTask &a, const SweepTask &b) {
+                  return a.cells[0] < b.cells[0];
+              });
+
     std::mutex reportMutex; // guards quarantined + journalStatus
     Status journalStatus;
     std::atomic<bool> interrupted{false};
-    std::atomic<uint64_t> completed{0};
+    std::atomic<uint64_t> completed{completedCells};
+
+    const auto journalCell = [&](uint64_t cell) {
+        if (!checkpointing)
+            return;
+        if (Status appended = journal.append(cell, report.results[cell]);
+            !appended.isOk()) {
+            std::lock_guard<std::mutex> lock(reportMutex);
+            if (journalStatus.isOk())
+                journalStatus = std::move(appended);
+        }
+    };
 
     parallelFor(
-        cells,
-        [&](size_t cell) {
-            if (auto it = loaded.completed.find(cell);
-                it != loaded.completed.end()) {
-                report.results[cell] = it->second;
-                completed.fetch_add(1, std::memory_order_relaxed);
+        tasks.size(),
+        [&](size_t index) {
+            const SweepTask &task = tasks[index];
+            if (!task.alone) {
+                // No deadline and no injected fault: the group either
+                // completes or stops on cancel, which leaves every
+                // member unpopulated and unjournaled.
+                std::vector<SweepCellResult> results(task.cells.size());
+                if (computeCells(task.cells, results, options.cancel,
+                                 /*deadlineMs=*/0) ==
+                    RunStopReason::Cancelled) {
+                    interrupted.store(true, std::memory_order_relaxed);
+                    return;
+                }
+                for (size_t i = 0; i < task.cells.size(); ++i) {
+                    const uint64_t cell = task.cells[i];
+                    report.results[cell] = std::move(results[i]);
+                    completed.fetch_add(1, std::memory_order_relaxed);
+                    journalCell(cell);
+                }
                 return;
             }
 
+            const uint64_t cell = task.cells[0];
             CellOutcome outcome = runCellResilient(cell, options);
             if (outcome.cancelled) {
                 interrupted.store(true, std::memory_order_relaxed);
@@ -349,15 +493,7 @@ SweepRunner::runResilient(const SweepResilienceOptions &options) const
             if (outcome.status.isOk()) {
                 report.results[cell] = std::move(outcome.result);
                 completed.fetch_add(1, std::memory_order_relaxed);
-                if (checkpointing) {
-                    if (Status appended = journal.append(
-                            cell, report.results[cell]);
-                        !appended.isOk()) {
-                        std::lock_guard<std::mutex> lock(reportMutex);
-                        if (journalStatus.isOk())
-                            journalStatus = std::move(appended);
-                    }
-                }
+                journalCell(cell);
                 return;
             }
 

@@ -4,10 +4,15 @@
  * interval-length) design space into independent cells and evaluates
  * them concurrently.
  *
- * Every cell regenerates its own event stream from the workload seed —
- * or, when the plan carries a mapped trace, replays one immutable
- * TraceMap through its own zero-copy cursor — and runs the streaming
- * interval pipeline serially, so cells share no mutable state; results
+ * Cells of one benchmark, interval length and threshold count form a
+ * group: they read the same stream and are scored against the same
+ * truth, so runResilient() generates that stream once from the
+ * workload seed — or, when the plan carries a mapped trace, replays
+ * one immutable TraceMap through one zero-copy cursor — and feeds
+ * every member's profiler and one perfect profile from it through the
+ * streaming interval pipeline. Each profiler sees exactly the chunks
+ * it would see alone, so a grouped cell equals the same cell run on
+ * its own (runCellResilient). Groups share no mutable state; results
  * land in slots indexed by cell, which makes the merged output
  * bit-identical for every thread count (asserted by
  * tests/analysis/test_sweep_runner).
@@ -31,6 +36,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,9 +63,10 @@ struct SweepPlan
 
     /**
      * Event class to sweep: selects the calibrated workload model
-     * (value, edge, or path) each cell regenerates. Fingerprints are
-     * backward compatible: Value and Edge encode the same bytes the
-     * old `edges` flag did, so existing checkpoints still resume.
+     * (value, edge, or path) each sweep group generates.
+     * Fingerprints are backward compatible: Value and Edge encode the
+     * same bytes the old `edges` flag did, so existing checkpoints
+     * still resume.
      */
     ProfileKind kind = ProfileKind::Value;
 
@@ -77,17 +84,21 @@ struct SweepPlan
     /** Profile intervals per cell. */
     uint64_t intervals = 10;
 
-    /** Workload seed (every cell regenerates the same stream). */
+    /**
+     * Workload seed: every cell of a benchmark reads the same stream,
+     * generated once per sweep group.
+     */
     uint64_t workloadSeed = 1;
 
     /** Events per onEvents() block in the batched ingest. */
     uint64_t batchSize = 4096;
 
     /**
-     * Optional recorded input: when set, every cell replays this one
-     * immutable mapping through its own zero-copy cursor instead of
-     * regenerating a workload stream — no cell copies the trace, and
-     * all of them (parallel or resumed) read the same bytes. The
+     * Optional recorded input: when set, every sweep group replays
+     * this one immutable mapping through its own zero-copy cursor
+     * instead of generating a workload stream — no cell copies the
+     * trace, and all of them (parallel or resumed) read the same
+     * bytes. The
      * `benchmarks` list then holds a single display name (defaulted
      * to the trace path by SweepRunner); `kind` and `workloadSeed`
      * are ignored. The trace fingerprint joins the plan fingerprint,
@@ -229,7 +240,12 @@ class SweepRunner
     /**
      * Evaluate every cell, possibly concurrently, into a report whose
      * results are in benchmark-major (benchmark, config,
-     * interval-length) order. Every cell gets up to
+     * interval-length) order. Cells that share a stream and a truth
+     * run as one group over one generated stream (split into config
+     * slices when there are fewer groups than workers); a cell whose
+     * first attempt a failpoint fails or slows, and every cell when
+     * options.cellDeadlineMs is set, runs alone through
+     * runCellResilient(). Every cell gets up to
      * options.maxAttempts attempts (with deterministic capped
      * exponential backoff between them); cells that fail every
      * attempt land in SweepReport::quarantined with their last Status
@@ -274,15 +290,18 @@ class SweepRunner
 
   private:
     /**
-     * Evaluate one cell with cooperative stops: cancel and deadline
-     * are polled at interval boundaries. Returns why the cell stopped
-     * (None = completed). A stopped cell leaves `result` partially
-     * filled; callers must discard it.
+     * Evaluate cells that share one benchmark, interval length and
+     * threshold count over one stream: one workload (or trace
+     * cursor), one perfect profile, one profiler per cell, with
+     * results[i] for cells[i]. A single cell is the one-member group.
+     * Cancel and deadline are polled at interval boundaries. Returns
+     * why the run stopped (None = completed). A stopped run leaves
+     * `results` partially filled; callers must discard them.
      */
-    RunStopReason computeCellStream(size_t cell,
-                                    SweepCellResult &result,
-                                    const CancelToken *cancel,
-                                    uint64_t deadlineMs) const;
+    RunStopReason computeCells(std::span<const uint64_t> cells,
+                               std::span<SweepCellResult> results,
+                               const CancelToken *cancel,
+                               uint64_t deadlineMs) const;
 
     SweepPlan sweepPlan;
 };

@@ -6,7 +6,9 @@
  * count; these tests pin that down by running the same plan serially
  * and with several workers and comparing every scored field exactly.
  * The batched runIntervalsStream()/runIntervalsSpan() equivalence with a
- * per-event reference run is asserted the same way.
+ * per-event reference run is asserted the same way, and so is the
+ * equivalence of grouped cells (one stream, one truth, many profilers)
+ * with the same cells run alone.
  */
 
 #include <gtest/gtest.h>
@@ -366,6 +368,113 @@ TEST_F(TraceSweepTest, FingerprintCoversTheTraceContent)
         f.write(reinterpret_cast<const char *>(&poison), 8);
     }
     EXPECT_NE(SweepRunner(tracePlan()).planFingerprint(), withTrace);
+}
+
+/**
+ * Grouped sweeps: runResilient() feeds every cell of one benchmark,
+ * interval length and threshold count from one stream and one truth,
+ * and each cell must equal the same cell computed alone through
+ * runCellResilient(), at every thread count. The fixture's recorded
+ * trace serves the mapped-trace plan.
+ */
+class SweepGroups : public TraceSweepTest
+{
+  protected:
+    /** Every cell computed alone, in plan order. */
+    static std::vector<SweepCellResult>
+    perCellReference(const SweepRunner &runner)
+    {
+        std::vector<SweepCellResult> cells;
+        for (uint64_t cell = 0; cell < runner.cellCount(); ++cell) {
+            CellOutcome outcome = runner.runCellResilient(cell, {});
+            EXPECT_TRUE(outcome.status.isOk())
+                << outcome.status.toString();
+            EXPECT_EQ(outcome.attempts, 1u);
+            cells.push_back(std::move(outcome.result));
+        }
+        return cells;
+    }
+
+    /** Grouped runs at 1, 2, 3, 4 and 8 threads equal the reference. */
+    static void
+    expectGroupedMatchesPerCell(const SweepPlan &plan)
+    {
+        const SweepRunner runner(plan);
+        const auto reference = perCellReference(runner);
+        for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            const auto grouped = sweepCells(runner, threads);
+            ASSERT_EQ(grouped.size(), reference.size());
+            for (size_t cell = 0; cell < grouped.size(); ++cell)
+                EXPECT_EQ(grouped[cell], reference[cell])
+                    << "cell " << cell;
+        }
+    }
+
+    /** The small plans' multi-hash config with `tables` tables. */
+    static SweepConfig
+    multiHash(unsigned tables)
+    {
+        ProfilerConfig c = bestMultiHashConfig(1000, 0.01);
+        c.totalHashEntries = 512;
+        c.numHashTables = tables;
+        return {"mh" + std::to_string(tables), c};
+    }
+
+    /** 2 benchmarks x 3 configs x 2 lengths, one group per length. */
+    static SweepPlan
+    threeConfigPlan(ProfileKind kind)
+    {
+        SweepPlan plan = smallPlan();
+        plan.kind = kind;
+        plan.configs.push_back(multiHash(2));
+        return plan;
+    }
+};
+
+TEST_F(SweepGroups, ValuePlanMatchesPerCellRuns)
+{
+    expectGroupedMatchesPerCell(threeConfigPlan(ProfileKind::Value));
+}
+
+TEST_F(SweepGroups, EdgePlanMatchesPerCellRuns)
+{
+    expectGroupedMatchesPerCell(threeConfigPlan(ProfileKind::Edge));
+}
+
+TEST_F(SweepGroups, PathPlanMatchesPerCellRuns)
+{
+    expectGroupedMatchesPerCell(threeConfigPlan(ProfileKind::Path));
+}
+
+TEST_F(SweepGroups, MappedTracePlanMatchesPerCellRuns)
+{
+    SweepPlan plan = tracePlan();
+    plan.configs.push_back(multiHash(2));
+    expectGroupedMatchesPerCell(plan);
+}
+
+TEST_F(SweepGroups, ThresholdSplitsABenchmarkIntoTwoGroups)
+{
+    // At each length the 1% configs share one truth and the 2% config
+    // needs another: one benchmark forms two groups per length.
+    SweepPlan plan = threeConfigPlan(ProfileKind::Value);
+    plan.configs[1].config.candidateThreshold = 0.02;
+    ASSERT_NE(plan.configs[0].config.thresholdCount(),
+              plan.configs[1].config.thresholdCount());
+    expectGroupedMatchesPerCell(plan);
+}
+
+TEST_F(SweepGroups, OneBenchmarkIsSplitIntoConfigSlices)
+{
+    // One group of 4 configs on up to 8 workers: the group is cut
+    // into contiguous config slices so no worker idles.
+    SweepPlan plan = threeConfigPlan(ProfileKind::Value);
+    plan.benchmarks = {"vortex"};
+    plan.intervalLengths = {2000};
+    plan.configs.push_back(multiHash(8));
+    ASSERT_EQ(SweepRunner(plan).cellCount(), 4u);
+    expectGroupedMatchesPerCell(plan);
 }
 
 } // namespace

@@ -6,7 +6,10 @@
  * fault-free run. Transient faults recover through retries,
  * injected slowdowns trip the per-attempt deadline, cancellation
  * stops at an interval boundary with the checkpoint intact, and a
- * resumed run completes to the fault-free answer.
+ * resumed run completes to the fault-free answer. On multi-config
+ * plans, where cells run in sweep groups, faulted cells still retry
+ * and quarantine exactly as they do alone, and a cancelled group
+ * journals none of its members.
  */
 
 #include <gtest/gtest.h>
@@ -15,10 +18,12 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "analysis/sweep_journal.h"
 #include "analysis/sweep_runner.h"
 #include "core/factory.h"
 #include "support/cancel.h"
@@ -40,6 +45,24 @@ faultPlan()
     ProfilerConfig best = bestMultiHashConfig(1000, 0.01);
     best.totalHashEntries = 512;
     plan.configs.push_back({"mh4", best});
+    return plan;
+}
+
+/**
+ * 2 benchmarks x 3 configs x 2 lengths = 12 cells in 4 sweep groups
+ * (the configs share each length's threshold count).
+ */
+SweepPlan
+multiConfigPlan()
+{
+    SweepPlan plan = faultPlan();
+    ProfilerConfig single = bestSingleHashConfig(1000, 0.01);
+    single.totalHashEntries = 512;
+    plan.configs.push_back({"bsh", single});
+    ProfilerConfig two = bestMultiHashConfig(1000, 0.01);
+    two.totalHashEntries = 512;
+    two.numHashTables = 2;
+    plan.configs.push_back({"mh2", two});
     return plan;
 }
 
@@ -244,6 +267,168 @@ TEST_F(ResilientSweepTest, CancelStopsEarlyAndResumeIsBitIdentical)
     // recomputed, and the merged output is bit-identical to an
     // uninterrupted fault-free sweep.
     clearFailpoints();
+    options.cancel = nullptr;
+    auto resumed = runner.runResilient(options);
+    ASSERT_TRUE(resumed.isOk()) << resumed.status().toString();
+    EXPECT_FALSE(resumed->interrupted);
+    EXPECT_EQ(resumed->results, plain);
+}
+
+TEST_F(ResilientSweepTest, GroupedSweepRetriesFaultedCellsAlone)
+{
+    const SweepRunner runner(multiConfigPlan());
+    const auto plain = plainCells(runner);
+
+    // Every third cell fails its first attempt only. Those cells run
+    // alone through the per-cell retry loop; the rest run in groups.
+    ASSERT_TRUE(
+        configureFailpoints("sweep.cell.compute=1/3@1").isOk());
+    for (unsigned threads : {1u, 4u}) {
+        SweepResilienceOptions options;
+        options.threads = threads;
+        options.maxAttempts = 2;
+        auto report = runner.runResilient(options);
+        ASSERT_TRUE(report.isOk()) << report.status().toString();
+        EXPECT_TRUE(report->quarantined.empty());
+        EXPECT_EQ(report->results, plain);
+        EXPECT_EQ(report->completedCells, plain.size());
+    }
+
+    SweepResilienceOptions options;
+    options.maxAttempts = 2;
+    for (uint64_t cell = 0; cell < runner.cellCount(); ++cell) {
+        const CellOutcome outcome =
+            runner.runCellResilient(cell, options);
+        EXPECT_TRUE(outcome.status.isOk()) << "cell " << cell;
+        EXPECT_EQ(outcome.attempts, cell % 3 == 0 ? 2u : 1u)
+            << "cell " << cell;
+    }
+
+    // With one attempt, exactly the pre-checked cells are
+    // quarantined; every grouped cell completes first time.
+    options.maxAttempts = 1;
+    options.threads = 4;
+    auto once = runner.runResilient(options);
+    ASSERT_TRUE(once.isOk()) << once.status().toString();
+    ASSERT_EQ(once->quarantined.size(), 4u);
+    for (size_t i = 0; i < once->quarantined.size(); ++i) {
+        EXPECT_EQ(once->quarantined[i].cellIndex, 3 * i);
+        EXPECT_EQ(once->quarantined[i].attempts, 1u);
+    }
+    for (uint64_t cell = 0; cell < runner.cellCount(); ++cell) {
+        if (cell % 3 != 0) {
+            EXPECT_EQ(once->results[cell], plain[cell])
+                << "cell " << cell;
+        }
+    }
+}
+
+TEST_F(ResilientSweepTest, GroupedQuarantineMatchesPerCellLoop)
+{
+    const SweepRunner runner(multiConfigPlan());
+
+    // Every third cell fails every attempt. The grouped sweep's
+    // results and quarantine list equal a plain loop over the
+    // per-cell retry loop.
+    ASSERT_TRUE(configureFailpoints("sweep.cell.compute=1/3").isOk());
+    SweepResilienceOptions options;
+    options.maxAttempts = 2;
+    std::vector<SweepCellResult> results(runner.cellCount());
+    std::vector<QuarantinedCell> quarantined;
+    for (uint64_t cell = 0; cell < runner.cellCount(); ++cell) {
+        CellOutcome outcome = runner.runCellResilient(cell, options);
+        ASSERT_FALSE(outcome.cancelled);
+        if (outcome.status.isOk())
+            results[cell] = std::move(outcome.result);
+        else
+            quarantined.push_back(runner.quarantineFor(
+                cell, outcome.attempts, std::move(outcome.status)));
+    }
+    ASSERT_EQ(quarantined.size(), 4u);
+
+    for (unsigned threads : {1u, 4u}) {
+        options.threads = threads;
+        auto report = runner.runResilient(options);
+        ASSERT_TRUE(report.isOk()) << report.status().toString();
+        EXPECT_EQ(report->quarantined, quarantined);
+        EXPECT_EQ(report->results, results);
+        EXPECT_EQ(report->completedCells,
+                  runner.cellCount() - quarantined.size());
+    }
+}
+
+TEST_F(ResilientSweepTest, CancelledGroupJournalsNoMember)
+{
+    // Long enough groups that the cancel lands while one runs.
+    SweepPlan plan = multiConfigPlan();
+    plan.intervals = 150;
+    const SweepRunner runner(plan);
+    const auto plain = plainCells(runner);
+
+    // No failpoint: every cell runs in a group. Cancel as soon as the
+    // first group's records reach the journal, which starts out as a
+    // bare header.
+    {
+        CheckpointJournal journal;
+        ASSERT_TRUE(
+            journal.open(ckpt, runner.planFingerprint(), {}).isOk());
+        ASSERT_TRUE(journal.finish().isOk());
+    }
+    const uintmax_t header = std::filesystem::file_size(ckpt);
+    CancelToken cancel;
+    SweepResilienceOptions options;
+    options.threads = 1;
+    options.checkpointPath = ckpt;
+    options.cancel = &cancel;
+    std::atomic<bool> done{false};
+    std::thread canceller([&] {
+        std::error_code ec;
+        while (!done.load()) {
+            const uintmax_t size = std::filesystem::file_size(ckpt, ec);
+            if (!ec && size > header) {
+                cancel.cancel();
+                return;
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+    });
+    auto interrupted = runner.runResilient(options);
+    done.store(true);
+    canceller.join();
+    ASSERT_TRUE(interrupted.isOk())
+        << interrupted.status().toString();
+    EXPECT_TRUE(interrupted->interrupted);
+    EXPECT_GT(interrupted->completedCells, 0u);
+    EXPECT_LT(interrupted->completedCells, plain.size());
+
+    // A group's members are journaled all together or not at all: a
+    // group is the cells of one benchmark and one length here.
+    auto journaled = loadSweepCheckpoint(ckpt, runner.planFingerprint(),
+                                         runner.cellCount());
+    ASSERT_TRUE(journaled.isOk()) << journaled.status().toString();
+    EXPECT_EQ(journaled->completed.size(),
+              interrupted->completedCells);
+    std::map<std::pair<size_t, size_t>, std::vector<uint64_t>> groups;
+    for (uint64_t cell = 0; cell < runner.cellCount(); ++cell)
+        groups[{plain[cell].benchmarkIndex,
+                plain[cell].intervalLengthIndex}]
+            .push_back(cell);
+    for (const auto &[key, members] : groups) {
+        size_t written = 0;
+        for (uint64_t cell : members) {
+            const bool isJournaled = journaled->completed.count(cell) > 0;
+            written += isJournaled ? 1 : 0;
+            EXPECT_EQ(interrupted->results[cell],
+                      isJournaled ? plain[cell] : SweepCellResult{})
+                << "cell " << cell;
+        }
+        EXPECT_TRUE(written == 0 || written == members.size())
+            << written << " of " << members.size()
+            << " members journaled";
+    }
+
+    // The resume recomputes the missing groups and is bit-identical
+    // to the uninterrupted sweep.
     options.cancel = nullptr;
     auto resumed = runner.runResilient(options);
     ASSERT_TRUE(resumed.isOk()) << resumed.status().toString();
