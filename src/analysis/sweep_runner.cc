@@ -429,14 +429,13 @@ SweepRunner::runResilient(const SweepResilienceOptions &options) const
                 config.thresholdCount()}]
             .push_back(cell);
     }
-    // Keep every worker busy: with fewer groups than workers, each
-    // group is cut into ceil(workers / groups) contiguous config
-    // slices.
+    // With fewer groups than workers, each group is cut into
+    // workers / groups contiguous config slices. Every extra slice
+    // regenerates the stream and the truth, so group tasks never
+    // outnumber the workers.
     const size_t workers = parallelWorkers(pending, options.threads);
     const size_t slices =
-        !groups.empty() && groups.size() < workers
-            ? (workers + groups.size() - 1) / groups.size()
-            : 1;
+        groups.empty() ? 1 : std::max<size_t>(1, workers / groups.size());
     for (const auto &[key, members] : groups)
         appendSlices(tasks, members, slices);
     std::sort(tasks.begin(), tasks.end(),

@@ -359,81 +359,75 @@ TEST_F(ResilientSweepTest, GroupedQuarantineMatchesPerCellLoop)
 
 TEST_F(ResilientSweepTest, CancelledGroupJournalsNoMember)
 {
-    // Long enough groups that the cancel lands while one runs.
-    SweepPlan plan = multiConfigPlan();
-    plan.intervals = 150;
-    const SweepRunner runner(plan);
+    const SweepRunner runner(multiConfigPlan());
     const auto plain = plainCells(runner);
-
-    // No failpoint: every cell runs in a group. Cancel as soon as the
-    // first group's records reach the journal, which starts out as a
-    // bare header.
-    {
-        CheckpointJournal journal;
-        ASSERT_TRUE(
-            journal.open(ckpt, runner.planFingerprint(), {}).isOk());
-        ASSERT_TRUE(journal.finish().isOk());
-    }
-    const uintmax_t header = std::filesystem::file_size(ckpt);
-    CancelToken cancel;
-    SweepResilienceOptions options;
-    options.threads = 1;
-    options.checkpointPath = ckpt;
-    options.cancel = &cancel;
-    std::atomic<bool> done{false};
-    std::thread canceller([&] {
-        std::error_code ec;
-        while (!done.load()) {
-            const uintmax_t size = std::filesystem::file_size(ckpt, ec);
-            if (!ec && size > header) {
-                cancel.cancel();
-                return;
-            }
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
-    });
-    auto interrupted = runner.runResilient(options);
-    done.store(true);
-    canceller.join();
-    ASSERT_TRUE(interrupted.isOk())
-        << interrupted.status().toString();
-    EXPECT_TRUE(interrupted->interrupted);
-    EXPECT_GT(interrupted->completedCells, 0u);
-    EXPECT_LT(interrupted->completedCells, plain.size());
-
-    // A group's members are journaled all together or not at all: a
-    // group is the cells of one benchmark and one length here.
-    auto journaled = loadSweepCheckpoint(ckpt, runner.planFingerprint(),
-                                         runner.cellCount());
-    ASSERT_TRUE(journaled.isOk()) << journaled.status().toString();
-    EXPECT_EQ(journaled->completed.size(),
-              interrupted->completedCells);
+    // A group is the cells of one benchmark and one length here.
     std::map<std::pair<size_t, size_t>, std::vector<uint64_t>> groups;
     for (uint64_t cell = 0; cell < runner.cellCount(); ++cell)
         groups[{plain[cell].benchmarkIndex,
                 plain[cell].intervalLengthIndex}]
             .push_back(cell);
-    for (const auto &[key, members] : groups) {
-        size_t written = 0;
-        for (uint64_t cell : members) {
-            const bool isJournaled = journaled->completed.count(cell) > 0;
-            written += isJournaled ? 1 : 0;
-            EXPECT_EQ(interrupted->results[cell],
-                      isJournaled ? plain[cell] : SweepCellResult{})
-                << "cell " << cell;
-        }
-        EXPECT_TRUE(written == 0 || written == members.size())
-            << written << " of " << members.size()
-            << " members journaled";
-    }
+    ASSERT_EQ(groups.size(), 4u);
+    const std::vector<uint64_t> &finished = groups.begin()->second;
 
-    // The resume recomputes the missing groups and is bit-identical
-    // to the uninterrupted sweep.
-    options.cancel = nullptr;
-    auto resumed = runner.runResilient(options);
-    ASSERT_TRUE(resumed.isOk()) << resumed.status().toString();
-    EXPECT_FALSE(resumed->interrupted);
-    EXPECT_EQ(resumed->results, plain);
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        // The journal holds one finished group. The cancel is
+        // requested before the run, so every other group starts with
+        // no failpoint, stops at its first interval boundary and
+        // reports Cancelled exactly as a cancel landing mid-group
+        // does, whatever the schedule.
+        std::remove(ckpt.c_str());
+        {
+            CheckpointJournal journal;
+            ASSERT_TRUE(
+                journal.open(ckpt, runner.planFingerprint(), {}).isOk());
+            for (const uint64_t cell : finished)
+                ASSERT_TRUE(journal.append(cell, plain[cell]).isOk());
+            ASSERT_TRUE(journal.finish().isOk());
+        }
+        CancelToken cancel;
+        cancel.cancel();
+        SweepResilienceOptions options;
+        options.threads = threads;
+        options.checkpointPath = ckpt;
+        options.cancel = &cancel;
+        auto interrupted = runner.runResilient(options);
+        ASSERT_TRUE(interrupted.isOk())
+            << interrupted.status().toString();
+        EXPECT_TRUE(interrupted->interrupted);
+        EXPECT_EQ(interrupted->completedCells, finished.size());
+        EXPECT_TRUE(interrupted->quarantined.empty());
+
+        // A group's members are journaled all together or not at all.
+        auto journaled = loadSweepCheckpoint(
+            ckpt, runner.planFingerprint(), runner.cellCount());
+        ASSERT_TRUE(journaled.isOk()) << journaled.status().toString();
+        EXPECT_EQ(journaled->completed.size(),
+                  interrupted->completedCells);
+        for (const auto &[key, members] : groups) {
+            size_t written = 0;
+            for (uint64_t cell : members) {
+                const bool isJournaled =
+                    journaled->completed.count(cell) > 0;
+                written += isJournaled ? 1 : 0;
+                EXPECT_EQ(interrupted->results[cell],
+                          isJournaled ? plain[cell] : SweepCellResult{})
+                    << "cell " << cell;
+            }
+            EXPECT_TRUE(written == 0 || written == members.size())
+                << written << " of " << members.size()
+                << " members journaled";
+        }
+
+        // The resume recomputes the missing groups and is
+        // bit-identical to the uninterrupted sweep.
+        options.cancel = nullptr;
+        auto resumed = runner.runResilient(options);
+        ASSERT_TRUE(resumed.isOk()) << resumed.status().toString();
+        EXPECT_FALSE(resumed->interrupted);
+        EXPECT_EQ(resumed->results, plain);
+    }
 }
 
 TEST_F(ResilientSweepTest, MaxAttemptsBelowOneIsRejected)
