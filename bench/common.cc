@@ -68,24 +68,6 @@ cpuScalingGovernor()
     return governor.empty() ? "unknown" : governor;
 }
 
-bool
-cpuScalingActive()
-{
-    const std::string governor = cpuScalingGovernor();
-    return governor != "none" && governor != "performance";
-}
-
-void
-reportTimingEnvironment(unsigned repetitions)
-{
-    std::printf("timing environment: clocksource=%s governor=%s "
-                "scaling=%s repetitions=%u\n",
-                clockSource().c_str(), cpuScalingGovernor().c_str(),
-                cpuScalingActive() ? "ACTIVE (results may wobble)"
-                                   : "inactive",
-                repetitions);
-}
-
 std::vector<std::vector<SweepRow>>
 runSuiteConfigs(const std::vector<std::string> &benchmarks, bool edges,
                 const std::vector<LabelledConfig> &configs,

@@ -9,8 +9,8 @@
  * ablations.
  */
 
-#ifndef MHP_BENCH_COMMON_H
-#define MHP_BENCH_COMMON_H
+#ifndef MHPROF_BENCH_COMMON_H
+#define MHPROF_BENCH_COMMON_H
 
 #include <memory>
 #include <string>
@@ -32,7 +32,7 @@ void banner(const std::string &figure, const std::string &what);
  * The kernel's current wall-clock source (e.g. "tsc", "hpet",
  * "arch_sys_counter"), read from sysfs; "unknown" when unreadable.
  * A non-TSC clocksource makes fine-grained timings untrustworthy, so
- * perf_throughput embeds this in its JSON context.
+ * the ledger records this next to its timings.
  */
 std::string clockSource();
 
@@ -43,19 +43,6 @@ std::string clockSource();
  * "performance"/"none" means results can wobble with clock scaling.
  */
 std::string cpuScalingGovernor();
-
-/**
- * True when frequency scaling could perturb measurements: a cpufreq
- * governor is present and is not "performance".
- */
-bool cpuScalingActive();
-
-/**
- * Print the one-line timing-environment report (clock source,
- * governor, repetitions). Every timing bench should emit this so a
- * log is never silently missing its measurement conditions.
- */
-void reportTimingEnvironment(unsigned repetitions);
 
 /** Intervals to run after MHP_SCALE (default baseIntervals). */
 uint64_t scaledIntervals(uint64_t baseIntervals);
@@ -120,4 +107,4 @@ bestConfigSweep(uint64_t intervalLength, double threshold,
 } // namespace bench
 } // namespace mhp
 
-#endif // MHP_BENCH_COMMON_H
+#endif // MHPROF_BENCH_COMMON_H

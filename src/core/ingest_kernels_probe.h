@@ -112,17 +112,6 @@ probeBlock(const AccumProbeView &view, const Tuple *block,
     const uint32_t *const slotOf = view.slotOf;
     const uint64_t groupMask = view.groupMask;
     using namespace accum_layout;
-    // The home-group prefetch pass only pays for itself when the tag
-    // array can fall out of cache; typical accumulators (a few
-    // hundred lanes) are permanently L1-resident.
-    if ((groupMask + 1) * kGroupLanes > 8192) {
-        for (size_t k = 0; k < m; ++k) {
-            __builtin_prefetch(tags +
-                                   groupOf(hashes[k], groupMask) *
-                                       kGroupLanes,
-                               0, 1);
-        }
-    }
     const GroupMask mask;
     size_t numAbsent = 0;
     for (size_t k = 0; k < m; ++k) {

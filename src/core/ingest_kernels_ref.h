@@ -161,19 +161,6 @@ accumProbeBlock(const AccumProbeView &view, const Tuple *block,
                 uint32_t *absentPos, Tuple *absentTuples,
                 uint32_t *hitPos)
 {
-    using namespace accum_layout;
-    // The home-group prefetch pass only pays for itself when the tag
-    // array can actually fall out of cache; typical accumulators
-    // (a few hundred lanes) are permanently L1-resident and the pass
-    // would be pure overhead.
-    if ((view.groupMask + 1) * kGroupLanes > 8192) {
-        for (size_t k = 0; k < m; ++k) {
-            __builtin_prefetch(view.tags +
-                                   groupOf(hashes[k], view.groupMask) *
-                                       kGroupLanes,
-                               0, 1);
-        }
-    }
     size_t numAbsent = 0;
     for (size_t k = 0; k < m; ++k) {
         slots[k] = accumProbeOne(view, block[k], hashes[k]);
